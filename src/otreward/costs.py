@@ -1,8 +1,10 @@
 """Pairwise transport costs between weighted measures.
 
-The pairwise matrix is built entry by entry with the same expressions as
-the scalar functions, so a matrix entry is bit-identical to the
-corresponding scalar call regardless of how callers batch or parallelize.
+Both the scalar functions and ``pairwise_costs`` go through one matrix
+kernel per cost. A scalar call is the kernel on a 1x1 problem, and the
+kernel reduces each entry over the feature axis in the same order whatever
+the matrix shape, so a matrix entry is bit-identical to the corresponding
+scalar call regardless of how callers batch or parallelize.
 """
 
 from __future__ import annotations
@@ -22,65 +24,61 @@ class CostKind(Enum):
     SQUARED_EUCLIDEAN = "squared-euclidean"
 
 
+def _cosine_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cosine distances between the rows of x (n, d) and of y (m, d)."""
+    # einsum's reduction order follows the memory layout: make it the same.
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
+    nx = np.sqrt(np.einsum("id,id->i", x, x))
+    ny = np.sqrt(np.einsum("jd,jd->j", y, y))
+    zero_x = nx < ZERO_NORM_EPS
+    zero_y = ny < ZERO_NORM_EPS
+    # Unit norms keep the division finite; those entries are set to 1 below.
+    nx[zero_x] = 1.0
+    ny[zero_y] = 1.0
+    out = np.clip(1.0 - np.einsum("id,jd->ij", x, y) / (nx[:, None] * ny), 0.0, 2.0)
+    out[zero_x, :] = 1.0
+    out[:, zero_y] = 1.0
+    return out
+
+
+def _squared_euclidean_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x and y, without an (n, m, d) array."""
+    out = np.empty((len(x), len(y)))
+    for i, xi in enumerate(x):
+        diff = y - xi
+        np.einsum("jd,jd->j", diff, diff, out=out[i])
+    return out
+
+
+def _vectors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
+    return x[None, :], y[None, :]
+
+
 def cosine_cost(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine distance 1 - <x,y>/(|x||y|), clamped to [0, 2].
 
     Vectors with norm below 1e-12 get the neutral distance 1: padded zero
     vectors may appear in cost matrices and must not produce NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx < ZERO_NORM_EPS or ny < ZERO_NORM_EPS:
-        return 1.0
-    c = 1.0 - float(np.dot(x, y)) / (nx * ny)
-    return min(max(c, 0.0), 2.0)
+    return float(_cosine_matrix(*_vectors(x, y))[0, 0])
 
 
 def squared_euclidean_cost(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of squared coordinate differences."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.dot(d, d))
+    return float(_squared_euclidean_matrix(*_vectors(x, y))[0, 0])
 
 
 def pairwise_costs(a: WeightedMeasure, b: WeightedMeasure, cost: CostKind) -> np.ndarray:
     """Cost matrix C with C[t, t'] = cost(a.points[t], b.points[t'])."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"point dimensions differ: {a.dim} vs {b.dim}")
-    pa, pb = a.points, b.points
-    rows, cols = len(a), len(b)
-    out = np.empty((rows, cols))
     if cost is CostKind.COSINE:
-        # The inner products stay per-entry np.dot calls so every matrix
-        # entry is bit-identical to the scalar function; the surrounding
-        # arithmetic vectorizes per row without changing any bits.
-        na = np.array([float(np.linalg.norm(p)) for p in pa])
-        nb = np.array([float(np.linalg.norm(p)) for p in pb])
-        pb_rows = list(pb)
-        degenerate_b = nb < ZERO_NORM_EPS
-        for i in range(rows):
-            xi = pa[i]
-            if na[i] < ZERO_NORM_EPS:
-                out[i, :] = 1.0
-                continue
-            dots = np.array([np.dot(xi, pj) for pj in pb_rows])
-            row = 1.0 - dots / (na[i] * nb)
-            np.clip(row, 0.0, 2.0, out=row)
-            row[degenerate_b] = 1.0
-            out[i, :] = row
-    elif cost is CostKind.SQUARED_EUCLIDEAN:
-        for i in range(rows):
-            xi = pa[i]
-            for j in range(cols):
-                d = xi - pb[j]
-                out[i, j] = float(np.dot(d, d))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown cost kind {cost!r}")
-    return out
+        return _cosine_matrix(a.points, b.points)
+    if cost is CostKind.SQUARED_EUCLIDEAN:
+        return _squared_euclidean_matrix(a.points, b.points)
+    raise ValueError(f"unknown cost kind {cost!r}")  # pragma: no cover

@@ -2,10 +2,12 @@
 
 Two routes to a coupling between weighted measures:
 
-- ``sinkhorn``: log-domain Sinkhorn iterations for the entropy-regularized
-  problem  min <C, P> - eps * H(P)  over couplings with prescribed
-  marginals. Log-sum-exp updates keep the iteration stable at small eps,
-  where the kernel exp(-C/eps) would underflow.
+- ``sinkhorn``: Sinkhorn iterations for the entropy-regularized problem
+  min <C, P> - eps * H(P)  over couplings with prescribed marginals, as
+  matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
+  2019): the dual potentials are absorbed into the kernel, and a
+  half-step whose kernel sums would underflow runs in the log domain
+  instead, so small eps and large costs stay stable.
 
 - ``lp_oracle``: the exact unregularized optimum for small instances,
   solved as the transportation linear program on the bipartite graph
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -34,6 +35,8 @@ from .errors import (
 
 MARGINAL_SUM_TOL = 1e-9
 MAX_LP_POINTS = 64
+# A kernel sum below this sends a Sinkhorn half-step to the log domain.
+_KERNEL_SUM_MIN = 1e-100
 
 
 @dataclass(frozen=True)
@@ -88,65 +91,62 @@ def _validate_instance(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         raise MarginalMismatch(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
 
 
+def _half_step(K, G, sums, target, pot, other_pot, other_scale):
+    """One Sinkhorn half-step along the rows of (K, G), given sums = G @ other_scale.
+
+    The update is scale = target / sums unless a kernel sum is below
+    _KERNEL_SUM_MIN (none can overflow: G's entries stay <= 1 and a scaling
+    stays <= 1 / _KERNEL_SUM_MIN). Then other_scale is absorbed into
+    other_pot, pot = log(target) - logsumexp(K + other_pot) is computed in
+    the log domain, its exp pass rebuilds G = exp(K + pot + other_pot), and
+    both scalings become ones. Used on (K, G) for rows and (K.T, G.T) for
+    columns; returns (pot, scale, other_pot, other_scale).
+    """
+    if sums.min() >= _KERNEL_SUM_MIN:
+        return pot, target / sums, other_pot, other_scale
+    other_pot = other_pot + np.log(other_scale)
+    np.add(K, other_pot, out=G)
+    top = G.max(axis=1)
+    G -= top[:, None]
+    np.exp(G, out=G)
+    sums = G.sum(axis=1)
+    G *= (target / sums)[:, None]
+    pot = np.log(target) - top - np.log(sums)
+    return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
+
+
 def _sinkhorn_active(
     C: np.ndarray, a: np.ndarray, b: np.ndarray, params: SinkhornParams
 ) -> tuple[np.ndarray, int, bool]:
-    """Log-domain Sinkhorn on an instance with strictly positive marginals.
+    """Stabilized kernel-space Sinkhorn on strictly positive marginals.
 
-    The log-sum-exp updates run in a preallocated scratch matrix; the
-    arithmetic is element-for-element the same as the textbook updates.
+    The potentials u = f + log(su), v = g + log(sv) are split into
+    log-potentials (f, g) absorbed into the kernel G = exp(K + f + g) and
+    scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is
+    the textbook pair u = log a - logsumexp(K + v), v = log b - logsumexp(K + u).
     """
-    log_a = np.log(a)
-    log_b = np.log(b)
+    tol = params.marginal_tolerance
     K = -C / params.epsilon
-    u = np.zeros(len(a))
-    v = np.zeros(len(b))
-    scratch = np.empty_like(K)
-    iterations = 0
+    f, su = -K.max(axis=1), np.ones(len(a))
+    g, sv = np.zeros(len(b)), np.ones(len(b))
+    G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
     converged = False
     for it in range(params.max_iterations):
-        iterations = it + 1
-        # Row log-sum-exp under the current v, stabilized by the row max.
-        np.add(K, v[None, :], out=scratch)
-        row_max = scratch.max(axis=1)
-        np.subtract(scratch, row_max[:, None], out=scratch)
-        np.exp(scratch, out=scratch)
-        row_sum = scratch.sum(axis=1)
-        s = np.log(row_sum)
-        s += row_max
-        if it > 0:
-            # The current (u, v) has converged when both marginals of its
-            # plan exp(u + K + v) are within tolerance. Its row sums are
-            # exp(u + s); its column sums are scratch^T exp(u + row_max),
-            # computed only once the rows pass.
-            row_err = np.abs(np.exp(u + s) - a).max()
-            if row_err <= params.marginal_tolerance:
-                col_err = np.abs(scratch.T @ np.exp(u + row_max) - b).max()
-                if col_err <= params.marginal_tolerance:
-                    converged = True
-                    break
-        u = log_a - s
-        # Column log-sum-exp under the new u. The row-pass matrix holds
-        # exp(K + v - row_max), so a_i * scratch_ij / row_sum_i equals
-        # exp(K_ij + u_i + v_j) and one matvec replaces a second full
-        # stabilization pass. The column sums it gives carry the factor
-        # exp(v_j), so the update is incremental:
-        #     v = log_b - logsumexp_i(K + u) = v + log_b - log(col_sum).
-        # A column that underflows to zero mass falls back to the
-        # explicitly stabilized update.
-        col_sum = scratch.T @ (a / row_sum)
-        if col_sum.min() >= 1e-280:
-            v = v + log_b - np.log(col_sum)
-        else:
-            np.add(K, u[:, None], out=scratch)
-            col_max = scratch.max(axis=0)
-            np.subtract(scratch, col_max[None, :], out=scratch)
-            np.exp(scratch, out=scratch)
-            t = np.log(scratch.sum(axis=0))
-            t += col_max
-            v = log_b - t
-    plan = np.exp(u[:, None] + K + v[None, :])
-    return plan, iterations, converged
+        row_sums = np.dot(G, sv)
+        # The matvec residual r only gates the deciding check, on the returned
+        # plan's marginals: sum(r**2) <= n * tol**2 whenever every |r_i| <= tol.
+        r = su * row_sums - a
+        if it > 0 and np.dot(r, r) <= len(a) * tol * tol:
+            plan = su[:, None] * G * sv
+            if (np.abs(plan.sum(axis=1) - a).max() <= tol
+                    and np.abs(plan.sum(axis=0) - b).max() <= tol):
+                converged = True
+                break
+        f, su, g, sv = _half_step(K, G, row_sums, a, f, g, sv)
+        g, sv, f, su = _half_step(K.T, G.T, np.dot(su, G), b, g, f, su)
+    else:
+        plan = su[:, None] * G * sv
+    return plan, it + 1, converged
 
 
 def sinkhorn(
@@ -236,6 +236,8 @@ def lp_oracle(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> Coupling:
     flows exactly onto the optimal support. Restricted to instances with
     at most MAX_LP_POINTS total points.
     """
+    from scipy.optimize import linprog  # slow to import; only this oracle needs it
+
     cost = np.asarray(cost, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -18,13 +18,13 @@ def make_episode(rng, length, dim, with_actions=False, action_dim=1, with_reward
     )
 
 
-def random_cost_instance(rng, rows, cols, dim=4):
-    """Cosine cost matrix plus uniform marginals for random point clouds."""
+def random_cost_instance(rng, rows, cols, dim=4, cost=None):
+    """Cost matrix (cosine by default) plus uniform marginals for random point clouds."""
     from otreward import CostKind, WeightedMeasure, pairwise_costs
 
     a = WeightedMeasure(rng.normal(size=(rows, dim)), np.full(rows, 1.0 / rows))
     b = WeightedMeasure(rng.normal(size=(cols, dim)), np.full(cols, 1.0 / cols))
-    return pairwise_costs(a, b, CostKind.COSINE), a.weights, b.weights
+    return pairwise_costs(a, b, cost or CostKind.COSINE), a.weights, b.weights
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otreward
 from otreward import EpisodicDataset, Trajectory, write_dataset
 from otreward.cli import main
 
@@ -213,3 +218,14 @@ def test_demo_gridworld_bad_config(tmp_path, capsys):
     path.write_text("width 8\n")
     code = main(["demo-gridworld", "--config", str(path)])
     assert code == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Only the LP oracle needs scipy.optimize, which dominates import time.
+    src = str(Path(otreward.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, otreward.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from otreward import (
     trajectory_to_measure,
 )
 from otreward.errors import DimensionMismatch
-from otreward.measures import FeatureMode, WeightedMeasure
+from otreward.measures import FeatureMode, WeightedMeasure, pad_measure
 
 from conftest import make_episode
 
@@ -76,14 +76,25 @@ def test_pairwise_single_entry(rng):
 
 @pytest.mark.parametrize("kind", [CostKind.COSINE, CostKind.SQUARED_EUCLIDEAN])
 def test_pairwise_equals_scalar_calls(rng, kind):
-    # Bit-exact agreement with the loop-of-scalars oracle.
-    a = trajectory_to_measure(make_episode(rng, 4, 5), FeatureMode.STATE)
-    b = trajectory_to_measure(make_episode(rng, 5, 5), FeatureMode.STATE)
-    C = pairwise_costs(a, b, kind)
+    # Bit-exact agreement with the loop-of-scalars oracle, on a small and a
+    # larger T != T' shape, and with zero-norm padded rows and columns.
+    def measure(length, dim):
+        return trajectory_to_measure(make_episode(rng, length, dim), FeatureMode.STATE)
+
+    small_a, small_b = measure(4, 5), measure(5, 5)
+    large_a, large_b = measure(37, 14), measure(23, 14)
+    pairs = [
+        (small_a, small_b),
+        (large_a, large_b),
+        (pad_measure(large_a, 41), pad_measure(large_b, 30)),
+    ]
     scalar = cosine_cost if kind is CostKind.COSINE else squared_euclidean_cost
-    for i in range(4):
-        for j in range(5):
-            assert C[i, j] == scalar(a.points[i], b.points[j])
+    for a, b in pairs:
+        C = pairwise_costs(a, b, kind)
+        assert C.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert C[i, j] == scalar(a.points[i], b.points[j])
 
 
 @pytest.mark.parametrize("kind", [CostKind.COSINE, CostKind.SQUARED_EUCLIDEAN])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from otreward import SinkhornParams, lp_oracle, sinkhorn
+from otreward import CostKind, SinkhornParams, lp_oracle, sinkhorn
 from otreward.errors import (
     DimensionMismatch,
     MarginalMismatch,
@@ -148,12 +148,29 @@ def textbook_sinkhorn_plan(C, a, b, eps, iterations):
     return np.exp(u[:, None] + K + v[None, :])
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("eps", [0.5, 0.05, 0.01])
-def test_iterates_match_textbook_updates(seed, eps):
+# Cosine cases keep C/eps <= 200, where the kernel sums stay in range. The
+# squared-Euclidean (d = 14, eps = 0.01) and cosine eps = 0.001 cases put
+# C/eps in the thousands, so the kernel underflows and half-steps run in
+# the log domain.
+TEXTBOOK_CASES = [
+    pytest.param(CostKind.COSINE, eps, seed, id=f"{eps}-{seed}")
+    for eps in (0.01, 0.05, 0.5)
+    for seed in range(3)
+] + [
+    pytest.param(kind, eps, seed, id=f"{kind.value}-{eps}-{seed}")
+    for kind, eps in ((CostKind.SQUARED_EUCLIDEAN, 0.01), (CostKind.COSINE, 0.001))
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("kind, eps, seed", TEXTBOOK_CASES)
+def test_iterates_match_textbook_updates(kind, eps, seed):
     rng = np.random.default_rng(300 + seed)
     rows, cols = int(rng.integers(3, 20)), int(rng.integers(3, 20))
-    C, a, b = random_cost_instance(rng, rows, cols)
+    dim = 4 if kind is CostKind.COSINE else 14
+    C, a, b = random_cost_instance(rng, rows, cols, dim=dim, cost=kind)
+    if kind is CostKind.SQUARED_EUCLIDEAN or eps == 0.001:
+        assert (C / eps).max() > 1000
     for k in (1, 2, 5, 50):
         # A tolerance no plan reaches, so the solver runs exactly k updates.
         params = SinkhornParams(
