@@ -9,7 +9,6 @@ demo). Exit codes: 0 success, 2 usage, 3 parse/data, 4 numeric, 5 I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -23,16 +22,9 @@ from .dataset_io import (
     write_labeled,
     return_correlations,
 )
-from .gridworld import (
-    HarnessConfig,
-    load_harness_config,
-    parse_post_scale,
-    reference_config,
-    run_demo,
-)
-from .labeler import LabelConfig, PostScale, ScaleMode, label_dataset
+from .gridworld import load_harness_config, reference_config, run_demo
+from .labeler import LABEL_KEYS, LabelConfig, ScaleMode, label_dataset
 from .measures import FeatureMode
-from .solver import SinkhornParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,30 +32,8 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
-_PARSE_ERRORS = (
-    errors.ParseError,
-    errors.DimensionMismatch,
-    errors.NonFiniteValue,
-    errors.RewardsMissing,
-    errors.ExpertRewardsMissing,
-    errors.IdMismatch,
-    errors.MissingActions,
-    errors.EmptyExpertSet,
-    errors.EmptyDataset,
-    errors.InvalidCounts,
-)
-_NUMERIC_ERRORS = (
-    errors.MarginalMismatch,
-    errors.NegativeWeight,
-    errors.NonFiniteCost,
-    errors.NonFiniteInput,
-    errors.DegenerateReturnRange,
-    errors.TooLarge,
-    errors.TargetTooSmall,
-)
-
-
 def _build_label_config(args: argparse.Namespace) -> LabelConfig:
+    """The preset's config with every flag the user set applied on top."""
     if args.preset == "locomotion":
         if args.action_dim is None:
             raise ValueError("--preset locomotion requires --action-dim")
@@ -74,33 +44,9 @@ def _build_label_config(args: argparse.Namespace) -> LabelConfig:
         cfg = LabelConfig.plain_preset()
     else:
         cfg = LabelConfig()
-
-    sink = cfg.sinkhorn
-    return LabelConfig(
-        cost=CostKind(args.cost) if args.cost else cfg.cost,
-        features=FeatureMode(args.features) if args.features else cfg.features,
-        sinkhorn=SinkhornParams(
-            epsilon=args.epsilon if args.epsilon is not None else sink.epsilon,
-            max_iterations=(
-                args.max_iters if args.max_iters is not None else sink.max_iterations
-            ),
-            marginal_tolerance=sink.marginal_tolerance,
-        ),
-        squash_alpha=args.alpha if args.alpha is not None else cfg.squash_alpha,
-        squash_beta=args.beta if args.beta is not None else cfg.squash_beta,
-        squash_scale=(
-            ScaleMode(args.squash_mode) if args.squash_mode else cfg.squash_scale
-        ),
-        episode_length=(
-            args.episode_length
-            if args.episode_length is not None
-            else cfg.episode_length
-        ),
-        action_dim=args.action_dim if args.action_dim is not None else cfg.action_dim,
-        post_scale=(
-            parse_post_scale(args.post_scale) if args.post_scale else cfg.post_scale
-        ),
-    )
+    flags = {key: str(value) for key, value in vars(args).items()
+             if key in LABEL_KEYS and value is not None}
+    return cfg.with_text(flags)
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -134,21 +80,10 @@ def cmd_select_experts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_source_experts(path) -> dict[str, object]:
-    out: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for idx, line in enumerate(l for l in fh if l.strip()):
-            rec = json.loads(line)
-            ep_id = rec.get("id", f"ep-{idx:05d}")
-            out[str(ep_id)] = rec.get("source_expert")
-    return out
-
-
 def cmd_diagnose(args: argparse.Namespace) -> int:
     labeled = read_dataset(args.labeled)
     truth = read_dataset(args.truth)
     truth_by_id = {ep.id: ep for ep in truth.episodes}
-    sources = _read_source_experts(args.labeled)
 
     rows = []
     labeled_returns = []
@@ -163,7 +98,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise errors.RewardsMissing(f"episode {ep.id!r} has no rewards in labeled file")
         t_ret = truth_ep.episodic_return()
         l_ret = ep.episodic_return()
-        rows.append((ep.id, repr(t_ret), repr(l_ret), sources.get(ep.id)))
+        rows.append((ep.id, repr(t_ret), repr(l_ret), labeled.source_experts.get(ep.id)))
         truth_returns.append(t_ret)
         labeled_returns.append(l_ret)
 
@@ -217,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("--cost", choices=[k.value for k in CostKind])
     label.add_argument("--features", choices=[m.value for m in FeatureMode])
     label.add_argument("--epsilon", type=float, help="entropic regularization")
-    label.add_argument("--max-iters", type=int, help="Sinkhorn iteration cap")
+    label.add_argument("--max-iters", type=int, dest="max_iterations",
+                       metavar="MAX_ITERS", help="Sinkhorn iteration cap")
     label.add_argument("--alpha", type=float, help="squash scale")
     label.add_argument("--beta", type=float, help="squash rate")
     label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode])
@@ -259,16 +195,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except errors.DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _NUMERIC_ERRORS as exc:
+    except errors.NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except errors.DataIoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (errors.DataIoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -17,7 +17,9 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -36,10 +38,15 @@ DIAGNOSTICS_HEADER = ["episode_id", "ground_truth_return", "otr_return", "source
 
 @dataclass
 class EpisodicDataset:
-    """A list of episodes plus free-form string metadata."""
+    """A list of episodes plus free-form string metadata.
+
+    source_experts holds each record's ``source_expert`` value by episode
+    id, None where a record has none, as read_dataset found them.
+    """
 
     episodes: list[Trajectory]
     metadata: dict[str, str] = field(default_factory=dict)
+    source_experts: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_consistent_dims(self.episodes)
@@ -122,6 +129,7 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
     disagree on feature dimensions.
     """
     episodes: list[Trajectory] = []
+    sources: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -130,25 +138,33 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
-            episodes.append(_parse_record(rec, line_no, len(episodes)))
-    return EpisodicDataset(episodes=episodes)
+            episode = _parse_record(rec, line_no, len(episodes))
+            episodes.append(episode)
+            sources[episode.id] = rec.get("source_expert")
+    return EpisodicDataset(episodes=episodes, source_experts=sources)
 
 
-def _atomic_write(path: str | os.PathLike, lines: list[str]) -> None:
+def _atomic_write(path: str | os.PathLike, write: Callable[[TextIO], object]) -> None:
+    """Run write on a temporary file, then rename it into place at path.
+
+    The file is opened with newline="", so what write emits is stored as is.
+    """
     directory = os.path.dirname(os.fspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line)
-                    fh.write("\n")
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
         raise DataIoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
+    _atomic_write(path, lambda fh: fh.writelines(f"{line}\n" for line in lines))
 
 
 def _traj_record(ep: Trajectory) -> dict:
@@ -164,7 +180,7 @@ def _traj_record(ep: Trajectory) -> dict:
 
 def write_dataset(path: str | os.PathLike, dataset: EpisodicDataset) -> None:
     """Write episodes in order, one JSON record per line."""
-    _atomic_write(path, [json.dumps(_traj_record(ep)) for ep in dataset.episodes])
+    _write_lines(path, [json.dumps(_traj_record(ep)) for ep in dataset.episodes])
 
 
 def write_labeled(path: str | os.PathLike, dataset: list[LabeledTrajectory]) -> None:
@@ -175,7 +191,7 @@ def write_labeled(path: str | os.PathLike, dataset: list[LabeledTrajectory]) -> 
         rec["rewards"] = lt.ot_rewards.tolist()
         rec["source_expert"] = lt.source_expert
         lines.append(json.dumps(rec))
-    _atomic_write(path, lines)
+    _write_lines(path, lines)
 
 
 def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
@@ -204,20 +220,13 @@ def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
 
 def write_diagnostics(path: str | os.PathLike, rows: list[tuple]) -> None:
     """Write the diagnose table: episode id, true return, labeled return, expert."""
-    try:
-        directory = os.path.dirname(os.fspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(DIAGNOSTICS_HEADER)
-                writer.writerows(rows)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise DataIoError(f"cannot write {path}: {exc}") from exc
+
+    def write(fh: TextIO) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(DIAGNOSTICS_HEADER)
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def return_correlations(x: list[float], y: list[float]) -> tuple[float, float, bool]:

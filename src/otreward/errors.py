@@ -2,74 +2,85 @@
 
 
 class OtRewardError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Each concrete error derives from DataError, NumericError or DataIoError.
+    """
 
 
-class DimensionMismatch(OtRewardError):
+class DataError(OtRewardError):
+    """Input data is malformed, inconsistent or incomplete (CLI exit 3)."""
+
+
+class NumericError(OtRewardError):
+    """A numeric routine got input it cannot compute on (CLI exit 4)."""
+
+
+class DimensionMismatch(DataError):
     """Feature vectors or matrices have incompatible dimensions."""
 
 
-class MissingActions(OtRewardError):
+class MissingActions(DataError):
     """State-action features requested on a trajectory without actions."""
 
 
-class TargetTooSmall(OtRewardError):
+class TargetTooSmall(NumericError):
     """Padding target is shorter than the measure being padded."""
 
 
-class MarginalMismatch(OtRewardError):
+class MarginalMismatch(NumericError):
     """Transport marginals do not sum to one (or to each other)."""
 
 
-class NegativeWeight(OtRewardError):
+class NegativeWeight(NumericError):
     """A marginal weight vector contains a negative entry."""
 
 
-class NonFiniteCost(OtRewardError):
+class NonFiniteCost(NumericError):
     """Cost matrix contains NaN or infinite entries."""
 
 
-class NonFiniteInput(OtRewardError):
+class NonFiniteInput(NumericError):
     """Reward vector handed to squashing contains NaN or infinite entries."""
 
 
-class NonFiniteValue(OtRewardError):
+class NonFiniteValue(DataError):
     """Dataset file contains NaN or infinite numbers."""
 
 
-class TooLarge(OtRewardError):
+class TooLarge(NumericError):
     """Instance exceeds the exact LP oracle's size limit."""
 
 
-class EmptyExpertSet(OtRewardError):
+class EmptyExpertSet(DataError):
     """No expert demonstrations were provided."""
 
 
-class EmptyDataset(OtRewardError):
+class EmptyDataset(DataError):
     """Operation requires at least one episode."""
 
 
-class DegenerateReturnRange(OtRewardError):
+class DegenerateReturnRange(NumericError):
     """All episodic returns are equal; range rescaling is undefined."""
 
 
-class ExpertRewardsMissing(OtRewardError):
+class ExpertRewardsMissing(DataError):
     """UDS baseline requires ground-truth rewards on expert episodes."""
 
 
-class RewardsMissing(OtRewardError):
+class RewardsMissing(DataError):
     """Episodic-return selection requires rewards on every episode."""
 
 
-class IdMismatch(OtRewardError):
+class IdMismatch(DataError):
     """Episode ids do not line up across the files being compared."""
 
 
-class InvalidCounts(OtRewardError):
+class InvalidCounts(DataError):
     """Dataset generation called with invalid episode counts."""
 
 
-class ParseError(OtRewardError):
+class ParseError(DataError):
     """A dataset file record could not be parsed.
 
     Carries the 1-based line number of the offending record.

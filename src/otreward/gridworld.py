@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -332,61 +332,51 @@ def reference_config() -> HarnessConfig:
     )
 
 
-def _post_scale_to_str(mode: PostScale) -> str:
-    if mode.kind == "none":
-        return "none"
-    if mode.kind == "return-range":
-        return f"return-range:{mode.value!r}"
-    return f"shift:{mode.value!r}"
+def _parse_cell(text: str) -> tuple[int, int]:
+    x, y = text.split(",")
+    return (int(x), int(y))
 
 
-def parse_post_scale(text: str) -> PostScale:
-    text = text.strip()
-    if text == "none":
-        return PostScale.none()
-    if text.startswith("return-range"):
-        _, _, val = text.partition(":")
-        return PostScale.return_range(float(val) if val else 1000.0)
-    if text.startswith("shift:"):
-        return PostScale.shift(float(text.split(":", 1)[1]))
-    raise ValueError(f"unknown post-scale spec {text!r}")
+# Config-file keys outside LabelConfig: key -> parser from text.
+_ENV_KEYS = {
+    "width": int,
+    "height": int,
+    "start": _parse_cell,
+    "goal": _parse_cell,
+    "horizon": int,
+    "discount": float,
+    "step_reward": float,
+    "goal_reward": float,
+}
+_RUN_KEYS = {"n_expert": int, "n_medium": int, "n_random": int, "seed": int, "sweeps": int}
+
+
+def _parse_keys(raw: dict[str, str], parsers: dict) -> dict[str, object]:
+    """Pop and parse the keys of parsers that raw holds."""
+    return {key: parse(raw.pop(key)) for key, parse in parsers.items() if key in raw}
 
 
 def save_harness_config(path, config: HarnessConfig) -> None:
     """Serialize a demo configuration as plain key = value lines."""
-    env = config.env
-    label = config.label
-    lines = [
-        f"width = {env.width}",
-        f"height = {env.height}",
-        f"start = {env.start[0]},{env.start[1]}",
-        f"goal = {env.goal[0]},{env.goal[1]}",
-        f"horizon = {env.horizon}",
-        f"discount = {env.discount!r}",
-        f"step_reward = {env.step_reward!r}",
-        f"goal_reward = {env.goal_reward!r}",
-        f"n_expert = {config.n_expert}",
-        f"n_medium = {config.n_medium}",
-        f"n_random = {config.n_random}",
-        f"seed = {config.seed}",
-        f"cost = {label.cost.value}",
-        f"features = {label.features.value}",
-        f"epsilon = {label.sinkhorn.epsilon!r}",
-        f"max_iterations = {label.sinkhorn.max_iterations}",
-        f"squash_mode = {label.squash_scale.value}",
-        f"alpha = {label.squash_alpha!r}",
-        f"beta = {label.squash_beta!r}",
-        f"post_scale = {_post_scale_to_str(label.post_scale)}",
-        f"sweeps = {config.sweeps}",
-    ]
-    if label.action_dim is not None:
-        lines.append(f"action_dim = {label.action_dim}")
+    values = {key: getattr(config.env, key) for key in _ENV_KEYS}
+    values.update((key, getattr(config, key)) for key in _RUN_KEYS)
+    text = {
+        key: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        for key, value in values.items()
+    }
+    text.update(config.label.to_text())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in text.items())
 
 
 def load_harness_config(path) -> HarnessConfig:
-    """Parse a key = value demo configuration file."""
+    """Parse a key = value demo configuration file.
+
+    The accepted keys are those of ``_ENV_KEYS`` (the Gridworld), the run
+    keys of ``_RUN_KEYS`` and the label settings of ``labeler.LABEL_KEYS``.
+    A missing required Gridworld key, an unknown key or an unparsable value
+    raises ValueError; every other missing key keeps its default.
+    """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -398,42 +388,12 @@ def load_harness_config(path) -> HarnessConfig:
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
 
-    def cell(text):
-        x, y = text.split(",")
-        return (int(x), int(y))
-
-    env = Gridworld(
-        width=int(raw["width"]),
-        height=int(raw["height"]),
-        start=cell(raw["start"]),
-        goal=cell(raw["goal"]),
-        step_reward=float(raw.get("step_reward", 0.0)),
-        goal_reward=float(raw.get("goal_reward", 1.0)),
-        horizon=int(raw.get("horizon", 0)),
-        discount=float(raw.get("discount", 0.99)),
-    )
-    label = LabelConfig(
-        cost=CostKind(raw.get("cost", "cosine")),
-        features=FeatureMode(raw.get("features", "state")),
-        sinkhorn=SinkhornParams(
-            epsilon=float(raw.get("epsilon", 0.01)),
-            max_iterations=int(raw.get("max_iterations", 1000)),
-        ),
-        squash_alpha=float(raw.get("alpha", 5.0)),
-        squash_beta=float(raw.get("beta", 5.0)),
-        squash_scale=ScaleMode(raw.get("squash_mode", "plain")),
-        action_dim=int(raw["action_dim"]) if "action_dim" in raw else None,
-        post_scale=parse_post_scale(raw.get("post_scale", "none")),
-    )
-    return HarnessConfig(
-        env=env,
-        n_expert=int(raw.get("n_expert", 1)),
-        n_medium=int(raw.get("n_medium", 20)),
-        n_random=int(raw.get("n_random", 80)),
-        seed=int(raw.get("seed", 7)),
-        label=label,
-        sweeps=int(raw.get("sweeps", 4000)),
-    )
+    missing = [f.name for f in fields(Gridworld) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
+    env = Gridworld(**_parse_keys(raw, _ENV_KEYS))
+    run = _parse_keys(raw, _RUN_KEYS)
+    return HarnessConfig(env=env, label=LabelConfig().with_text(raw), **run)
 
 
 @dataclass

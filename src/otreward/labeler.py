@@ -18,9 +18,11 @@ demonstration) and UDS (constant minimum reward on unlabeled episodes).
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,26 +46,61 @@ class ScaleMode(Enum):
     PLAIN = "plain"  # exponent beta
 
 
+class PostScaleKind(Enum):
+    """Which dataset-level adjustment PostScale applies."""
+
+    NONE = "none"
+    RETURN_RANGE = "return-range"
+    SHIFT = "shift"
+
+
 @dataclass(frozen=True)
 class PostScale:
-    """Dataset-level reward post-processing applied after squashing."""
+    """Dataset-level reward post-processing applied after squashing.
 
-    kind: str  # "none" | "return-range" | "shift"
+    Spelled as text ``none``, ``return-range[:target]`` or ``shift:<delta>``;
+    ``str`` and ``parse`` convert between the two.
+    """
+
+    kind: PostScaleKind
     value: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", PostScaleKind(self.kind))
 
     @classmethod
     def none(cls) -> "PostScale":
-        return cls(kind="none")
+        return cls(kind=PostScaleKind.NONE)
 
     @classmethod
     def return_range(cls, target: float = 1000.0) -> "PostScale":
         """Multiply all rewards by target / (max return - min return)."""
-        return cls(kind="return-range", value=target)
+        return cls(kind=PostScaleKind.RETURN_RANGE, value=target)
 
     @classmethod
     def shift(cls, delta: float) -> "PostScale":
         """Add delta to every reward."""
-        return cls(kind="shift", value=delta)
+        return cls(kind=PostScaleKind.SHIFT, value=delta)
+
+    def __str__(self) -> str:
+        if self.kind is PostScaleKind.NONE:
+            return self.kind.value
+        return f"{self.kind.value}:{self.value!r}"
+
+    @classmethod
+    def parse(cls, text: str) -> "PostScale":
+        """Read the text form; the return-range target defaults to 1000."""
+        name, sep, value = text.strip().partition(":")
+        if name == PostScaleKind.RETURN_RANGE.value:
+            return cls.return_range(float(value)) if value else cls.return_range()
+        if name == PostScaleKind.SHIFT.value and sep:
+            return cls.shift(float(value))
+        if name == PostScaleKind.NONE.value and not sep:
+            return cls.none()
+        raise ValueError(
+            f"unknown post-scale spec {text!r}; "
+            "expected none | return-range[:target] | shift:<delta>"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,6 +139,36 @@ class LabelConfig:
             return float(self.episode_length)
         return self.squash_beta
 
+    def to_text(self) -> dict[str, str]:
+        """Every setting as LABEL_KEYS spells it; unset action_dim is left out."""
+        text = {}
+        for key, (path, _) in LABEL_KEYS.items():
+            value = attrgetter(path)(self)
+            if value is not None:
+                text[key] = value.value if isinstance(value, Enum) else str(value)
+        return text
+
+    def with_text(self, mapping: Mapping[str, str]) -> "LabelConfig":
+        """A copy with the LABEL_KEYS settings in mapping parsed and applied.
+
+        Unknown keys and unparsable values raise ValueError. All settings
+        land in one replace, so validation sees only the final config.
+        """
+        unknown = [key for key in mapping if key not in LABEL_KEYS]
+        if unknown:
+            raise ValueError(
+                f"unknown label setting(s) {', '.join(map(repr, unknown))}; "
+                f"expected some of {', '.join(LABEL_KEYS)}"
+            )
+        groups: dict[str, dict[str, object]] = {}
+        for key, text in mapping.items():
+            path, parse = LABEL_KEYS[key]
+            outer, _, name = path.rpartition(".")
+            groups.setdefault(outer, {})[name] = parse(text)
+        top = groups.pop("", {})
+        nested = {outer: replace(getattr(self, outer), **kw) for outer, kw in groups.items()}
+        return replace(self, **top, **nested)
+
     @classmethod
     def locomotion_preset(cls, action_dim: int) -> "LabelConfig":
         """s(r) = 5 * exp(5 * T * r / |A|), T = 1000, range-rescaled."""
@@ -133,6 +200,23 @@ class LabelConfig:
             squash_scale=ScaleMode.PLAIN,
             post_scale=PostScale.none(),
         )
+
+
+# The text spelling of every LabelConfig setting, shared by the CLI flags and
+# the gridworld config file: key -> (attribute path, parser from text).
+LABEL_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "cost": ("cost", CostKind),
+    "features": ("features", FeatureMode),
+    "epsilon": ("sinkhorn.epsilon", float),
+    "max_iterations": ("sinkhorn.max_iterations", int),
+    "marginal_tolerance": ("sinkhorn.marginal_tolerance", float),
+    "squash_mode": ("squash_scale", ScaleMode),
+    "alpha": ("squash_alpha", float),
+    "beta": ("squash_beta", float),
+    "episode_length": ("episode_length", int),
+    "action_dim": ("action_dim", int),
+    "post_scale": ("post_scale", PostScale.parse),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +300,11 @@ def post_scale_rewards(
     dataset: list[LabeledTrajectory], mode: PostScale
 ) -> list[LabeledTrajectory]:
     """Apply dataset-level reward rescaling or shifting."""
-    if mode.kind == "none":
+    if mode.kind is PostScaleKind.NONE:
         return list(dataset)
     if not dataset:
         raise EmptyDataset("post-scaling requires at least one labeled episode")
-    if mode.kind == "return-range":
+    if mode.kind is PostScaleKind.RETURN_RANGE:
         returns = [lt.episodic_return() for lt in dataset]
         spread = max(returns) - min(returns)
         if spread <= 0:
@@ -229,9 +313,7 @@ def post_scale_rewards(
             )
         factor = mode.value / spread
         return [lt.with_rewards(lt.ot_rewards * factor) for lt in dataset]
-    if mode.kind == "shift":
-        return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
-    raise ValueError(f"unknown post-scale kind {mode.kind!r}")
+    return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
 
 
 # Worker state for parallel labeling; set once per worker process.

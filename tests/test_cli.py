@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import otreward
-from otreward import EpisodicDataset, Trajectory, write_dataset
+from otreward import EpisodicDataset, Trajectory, cli, errors, write_dataset
 from otreward.cli import main
 
 from conftest import make_episode
@@ -218,6 +219,74 @@ def test_demo_gridworld_bad_config(tmp_path, capsys):
     path.write_text("width 8\n")
     code = main(["demo-gridworld", "--config", str(path)])
     assert code == 2
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.gridworld"
+
+
+def test_demo_gridworld_config_missing_key(tmp_path, capsys):
+    path = tmp_path / "no-width.gridworld"
+    path.write_text("".join(line for line in REFERENCE_CONFIG.read_text().splitlines(True)
+                            if not line.startswith("width")))
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert "width" in capsys.readouterr().err
+
+
+def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
+    path = tmp_path / "typo.gridworld"
+    path.write_text(REFERENCE_CONFIG.read_text() + "epsilom = 0.1\n")
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert "epsilom" in capsys.readouterr().err
+
+
+def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
+    upath, epath = small_files
+    out = tmp_path / "out.jsonl"
+    code = main(["label", str(upath), str(epath), str(out),
+                 "--post-scale", "return-rangeXYZ"])
+    assert code == 2
+    assert "return-rangeXYZ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_source_expert_column(tmp_path, rng, capsys):
+    truth = _reward_file(tmp_path, rng, "t.jsonl", {"a": [1.0], "b": [2.0]})
+    records = [{"id": "a", "observations": [[0.0, 1.0]], "rewards": [0.5],
+                "source_expert": 2},
+               {"id": "b", "observations": [[1.0, 0.0]], "rewards": [1.5]}]
+    labeled = tmp_path / "l.jsonl"
+    labeled.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "diag.csv"
+    assert main(["diagnose", str(labeled), str(truth), str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["a,1.0,0.5,2", "b,2.0,1.5,"]
+
+
+def _error_classes(cls=errors.OtRewardError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_exits_with_its_documented_code(monkeypatch, capsys):
+    documented = {name: int(code) for code, name
+                  in re.findall(r"(\d) ([\w/]+)", cli.__doc__.split("Exit codes:")[1])}
+    code_of_base = {errors.DataError: documented["parse/data"],
+                    errors.NumericError: documented["numeric"],
+                    errors.DataIoError: documented["I/O"]}
+    classes = list(_error_classes())
+    assert len(classes) >= 20
+    for cls in classes:
+        codes = [code for base, code in code_of_base.items() if issubclass(cls, base)]
+        assert len(codes) == 1, f"{cls.__name__} needs exactly one exit-code base"
+        exc = cls(1, "boom") if issubclass(cls, errors.ParseError) else cls("boom")
+
+        def fail(path, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "read_dataset", fail)
+        assert main(["select-experts", "in.jsonl", "out.jsonl", "--k", "1"]) == codes[0], (
+            cls.__name__)
+        assert "boom" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_optimize():

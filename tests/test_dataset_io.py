@@ -207,3 +207,20 @@ def test_diagnostics_csv_format(tmp_path):
     assert lines[0] == "episode_id,ground_truth_return,otr_return,source_expert"
     assert lines[1] == "ep0,1.0,-3.5,0"
     assert len(lines) == 3
+    assert path.read_bytes() == (
+        b"episode_id,ground_truth_return,otr_return,source_expert\r\n"
+        b"ep0,1.0,-3.5,0\r\nep1,0.0,-9.25,1\r\n"
+    )
+
+
+def test_jsonl_lines_end_in_a_bare_newline(rng, tmp_path):
+    episodes = [full_episode(rng, 3, "a"), full_episode(rng, 2, "b")]
+    plain, labeled = tmp_path / "plain.jsonl", tmp_path / "labeled.jsonl"
+    write_dataset(plain, EpisodicDataset(episodes=episodes))
+    write_labeled(labeled, [LabeledTrajectory(base=ep, ot_rewards=ep.rewards)
+                            for ep in episodes])
+    for path in (plain, labeled):
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 2
+        assert [json.loads(line)["id"] for line in raw.splitlines()] == ["a", "b"]

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from otreward import (
     Gridworld,
     LabeledTrajectory,
+    PostScale,
     TabularQ,
     evaluate_policy,
     fit_offline_q,
@@ -218,6 +221,26 @@ def test_action_vectors_are_unit_moves():
 
 def test_harness_config_round_trip(tmp_path):
     config = reference_config()
+    path = tmp_path / "demo.gridworld"
+    save_harness_config(path, config)
+    assert load_harness_config(path) == config
+
+
+@pytest.mark.parametrize(
+    "post_scale",
+    [PostScale.none(), PostScale.return_range(250.0), PostScale.shift(-0.5)],
+    ids=["none", "return-range", "shift"],
+)
+def test_harness_config_round_trip_is_lossless(tmp_path, post_scale):
+    base = reference_config()
+    label = replace(
+        base.label,
+        sinkhorn=replace(base.label.sinkhorn, marginal_tolerance=1e-4),
+        episode_length=250,
+        action_dim=3,
+        post_scale=post_scale,
+    )
+    config = replace(base, label=label)
     path = tmp_path / "demo.gridworld"
     save_harness_config(path, config)
     assert load_harness_config(path) == config

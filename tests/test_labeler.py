@@ -348,3 +348,16 @@ def test_label_config_validation():
     assert cfg.squash_exponent() == pytest.approx(5.0 * 1000 / 6)
     assert LabelConfig.antmaze_preset().squash_exponent() == 1000.0
     assert LabelConfig.plain_preset().squash_exponent() == 1.0
+
+
+def test_with_text_validates_the_final_config_once():
+    cfg = LabelConfig().with_text({"squash_mode": "locomotion", "action_dim": "6"})
+    assert cfg.squash_scale is ScaleMode.LOCOMOTION and cfg.action_dim == 6
+    with pytest.raises(ValueError, match="action_dim"):
+        LabelConfig().with_text({"squash_mode": "locomotion"})
+
+
+@pytest.mark.parametrize("text", ["none:1", "shift", "return-rangeXYZ", "shift:x"])
+def test_post_scale_parse_rejects_bad_specs(text):
+    with pytest.raises(ValueError):
+        PostScale.parse(text)
