@@ -51,9 +51,9 @@ def _build_label_config(args: argparse.Namespace) -> LabelConfig:
 
 def cmd_label(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    cfg = _build_label_config(args)
     unlabeled = read_dataset(args.unlabeled)
     experts = read_dataset(args.experts)
-    cfg = _build_label_config(args)
     labeled = label_dataset(
         unlabeled.episodes, experts.episodes, cfg, workers=args.parallelism
     )

@@ -27,8 +27,7 @@ from .labeler import (
     PostScale,
     ScaleMode,
     label_dataset,
-    post_scale_rewards,
-    squash,
+    parse_setting,
     uds_rewards,
     uniform_plan_rewards,
 )
@@ -107,6 +106,14 @@ class Gridworld:
         return 2 if self.goal[1] > cell[1] else 3
 
 
+def _cell_rewards(env: Gridworld, cells: list[tuple[int, int]]) -> np.ndarray:
+    """rewards[t] pays for the move into cells[t + 1]; the last entry is 0."""
+    rewards = np.zeros(len(cells))
+    for t in range(len(cells) - 1):
+        rewards[t] = env.goal_reward if cells[t + 1] == env.goal else env.step_reward
+    return rewards
+
+
 def _rollout(env: Gridworld, rng: np.random.Generator | None, eps: float, ep_id: str) -> Trajectory:
     cells = [env.start]
     actions: list[int] = []
@@ -121,14 +128,10 @@ def _rollout(env: Gridworld, rng: np.random.Generator | None, eps: float, ep_id:
         actions.append(action)
         cell = env.step(cell, action)
         cells.append(cell)
-    T = len(cells)
-    rewards = np.zeros(T)
-    for t in range(T - 1):
-        rewards[t] = env.goal_reward if cells[t + 1] == env.goal else env.step_reward
     return Trajectory(
         observations=np.array([env.observation(c) for c in cells]),
         actions=np.array([[float(a)] for a in actions]) if actions else np.zeros((0, 1)),
-        rewards=rewards,
+        rewards=_cell_rewards(env, cells),
         terminals=np.array([c == env.goal for c in cells]),
         id=ep_id,
     )
@@ -136,11 +139,7 @@ def _rollout(env: Gridworld, rng: np.random.Generator | None, eps: float, ep_id:
 
 def ground_truth_rewards(env: Gridworld, traj: Trajectory) -> np.ndarray:
     """Recompute the environment rewards of an episode from its states."""
-    cells = [env.decode_cell(o) for o in traj.observations]
-    rewards = np.zeros(len(cells))
-    for t in range(len(cells) - 1):
-        rewards[t] = env.goal_reward if cells[t + 1] == env.goal else env.step_reward
-    return rewards
+    return _cell_rewards(env, [env.decode_cell(o) for o in traj.observations])
 
 
 def generate_dataset(
@@ -353,7 +352,8 @@ _RUN_KEYS = {"n_expert": int, "n_medium": int, "n_random": int, "seed": int, "sw
 
 def _parse_keys(raw: dict[str, str], parsers: dict) -> dict[str, object]:
     """Pop and parse the keys of parsers that raw holds."""
-    return {key: parse(raw.pop(key)) for key, parse in parsers.items() if key in raw}
+    return {key: parse_setting(key, raw.pop(key), parse)
+            for key, parse in parsers.items() if key in raw}
 
 
 def save_harness_config(path, config: HarnessConfig) -> None:
@@ -409,37 +409,14 @@ class DemoResult:
     trained_sweeps: int
 
 
-def _label_with_uniform_plan(
-    unlabeled: list[Trajectory], experts: list[Trajectory], cfg: LabelConfig
-) -> list[LabeledTrajectory]:
-    labeled = []
-    for ep in unlabeled:
-        rewards = [uniform_plan_rewards(ep, e, cfg) for e in experts]
-        best = int(np.argmax([r.sum() for r in rewards]))
-        labeled.append(
-            LabeledTrajectory(
-                base=ep,
-                ot_rewards=squash(rewards[best], cfg),
-                raw_ot_rewards=rewards[best],
-                source_expert=best,
-            )
-        )
-    return post_scale_rewards(labeled, cfg.post_scale)
-
-
-def _wrap_with_truth(env: Gridworld, episodes: list[Trajectory]) -> list[LabeledTrajectory]:
-    out = []
-    for ep in episodes:
-        rewards = ep.rewards if ep.rewards is not None else ground_truth_rewards(env, ep)
-        out.append(LabeledTrajectory(base=ep, ot_rewards=np.asarray(rewards)))
-    return out
-
-
 def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
     """Generate data, label it with the chosen method, fit Q, evaluate.
 
-    labeler is one of "otr", "uds", "uniform", "truth". Seed-deterministic
-    end to end.
+    labeler is one of "otr", "uds", "uniform", "truth". Each labels the
+    experts and the unlabeled episodes together, experts first, so a
+    post-scale such as return-range spans the whole dataset the Q-fit
+    sees. The correlations compare the unlabeled episodes only.
+    Seed-deterministic end to end.
     """
     env = config.env
     experts_ds, unlabeled_ds = generate_dataset(
@@ -448,30 +425,29 @@ def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
     experts = experts_ds.episodes
     unlabeled = unlabeled_ds.episodes
     cfg = config.label
+    episodes = experts + unlabeled  # experts first, the order uds_rewards returns
 
     t0 = time.perf_counter()
     if labeler == "otr":
-        labeled = label_dataset(unlabeled, experts, cfg)
-        expert_part = label_dataset(experts, experts, cfg)
+        labeled = label_dataset(episodes, experts, cfg)
     elif labeler == "uniform":
-        labeled = _label_with_uniform_plan(unlabeled, experts, cfg)
-        expert_part = _label_with_uniform_plan(experts, experts, cfg)
+        labeled = label_dataset(episodes, experts, cfg, plan_rewards=uniform_plan_rewards)
     elif labeler == "uds":
-        merged = uds_rewards(unlabeled, experts, r_min=env.step_reward)
-        expert_part, labeled = merged[: len(experts)], merged[len(experts) :]
+        labeled = uds_rewards(unlabeled, experts, r_min=env.step_reward)
     elif labeler == "truth":
-        labeled = _wrap_with_truth(env, unlabeled)
-        expert_part = _wrap_with_truth(env, experts)
+        labeled = [LabeledTrajectory(base=ep, ot_rewards=ground_truth_rewards(env, ep))
+                   for ep in episodes]
     else:
         raise ValueError(f"unknown labeler {labeler!r}")
     label_seconds = time.perf_counter() - t0
+    unlabeled_part = labeled[len(experts) :]
 
     true_returns = [float(ground_truth_rewards(env, ep).sum()) for ep in unlabeled]
-    labeled_returns = [lt.episodic_return() for lt in labeled]
+    labeled_returns = [lt.episodic_return() for lt in unlabeled_part]
     pearson, spearman, degenerate = return_correlations(labeled_returns, true_returns)
 
     t0 = time.perf_counter()
-    q = fit_offline_q(expert_part + labeled, env, sweeps=config.sweeps)
+    q = fit_offline_q(labeled, env, sweeps=config.sweeps)
     fit_seconds = time.perf_counter() - t0
     success = evaluate_policy(q, env, episodes=1)
 
@@ -483,6 +459,6 @@ def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
         degenerate_correlation=degenerate,
         label_seconds=label_seconds,
         fit_seconds=fit_seconds,
-        episodes_labeled=len(labeled),
+        episodes_labeled=len(unlabeled_part),
         trained_sweeps=q.trained_sweeps,
     )

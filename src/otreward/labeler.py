@@ -12,7 +12,8 @@ nonpositive; an exponential squash maps them into (0, alpha], and an
 optional dataset-level rescale or shift runs last.
 
 Baselines: a uniform transport plan (every step spread equally over the
-demonstration) and UDS (constant minimum reward on unlabeled episodes).
+demonstration; label_dataset with plan_rewards=uniform_plan_rewards) and
+UDS (constant minimum reward on unlabeled episodes).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class LabelConfig:
         for key, text in mapping.items():
             path, parse = LABEL_KEYS[key]
             outer, _, name = path.rpartition(".")
-            groups.setdefault(outer, {})[name] = parse(text)
+            groups.setdefault(outer, {})[name] = parse_setting(key, text, parse)
         top = groups.pop("", {})
         nested = {outer: replace(getattr(self, outer), **kw) for outer, kw in groups.items()}
         return replace(self, **top, **nested)
@@ -219,15 +220,23 @@ LABEL_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 }
 
 
+def parse_setting(key: str, text: str, parse: Callable[[str], object]) -> object:
+    """parse(text), with a parser's ValueError re-raised naming key and text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"bad {key} {text!r}: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledTrajectory:
     """An episode together with its reward labels.
 
     ot_rewards are the final labels (post-squash; post_scale_rewards may
     adjust them further). raw_ot_rewards are the nonpositive pre-squash
-    alignment rewards when the labels came from transport; baselines leave
-    them None. source_expert is the index of the winning demonstration,
-    None for baselines.
+    alignment rewards when the labels came from a transport plan (optimal
+    or uniform); UDS leaves them None. source_expert is the index of the
+    winning demonstration, None for UDS.
     """
 
     base: Trajectory
@@ -272,17 +281,35 @@ def ot_rewards_single(
     return raw, coupling
 
 
+# An episode's raw rewards against one demonstration under some transport plan.
+# Pool workers receive it by pickling, so it must be a module-level function.
+PlanRewards = Callable[[Trajectory, Trajectory, LabelConfig], np.ndarray]
+
+
+def optimal_plan_rewards(
+    unlabeled: Trajectory, expert: Trajectory, cfg: LabelConfig
+) -> np.ndarray:
+    """Raw rewards under the optimal coupling (ot_rewards_single's first result)."""
+    # The module attribute is looked up per call, so rebinding it (as a tracer
+    # does) also reaches labeling through the default plan_rewards.
+    return ot_rewards_single(unlabeled, expert, cfg)[0]
+
+
 def aggregate_over_experts(
-    unlabeled: Trajectory, experts: list[Trajectory], cfg: LabelConfig
+    unlabeled: Trajectory,
+    experts: list[Trajectory],
+    cfg: LabelConfig,
+    plan_rewards: PlanRewards = optimal_plan_rewards,
 ) -> tuple[np.ndarray, int]:
     """Align against each demonstration; keep the best episodic return.
 
+    plan_rewards gives the raw rewards against one demonstration.
     Returns the winning raw reward vector and the winning expert's index.
     Ties go to the lowest index.
     """
     if not experts:
         raise EmptyExpertSet("at least one expert demonstration is required")
-    rewards = [ot_rewards_single(unlabeled, e, cfg)[0] for e in experts]
+    rewards = [plan_rewards(unlabeled, e, cfg) for e in experts]
     returns = np.array([r.sum() for r in rewards])
     best = int(np.argmax(returns))
     return rewards[best], best
@@ -316,25 +343,26 @@ def post_scale_rewards(
     return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
 
 
-# Worker state for parallel labeling; set once per worker process.
-_WORKER_EXPERTS: list[Trajectory] | None = None
-_WORKER_CFG: LabelConfig | None = None
+# Worker state for parallel labeling, (experts, cfg, plan_rewards); set once per worker.
+_WORKER_ARGS: tuple[list[Trajectory], LabelConfig, PlanRewards] | None = None
 
 
-def _init_worker(experts: list[Trajectory], cfg: LabelConfig) -> None:
-    global _WORKER_EXPERTS, _WORKER_CFG
-    _WORKER_EXPERTS = experts
-    _WORKER_CFG = cfg
+def _init_worker(*args) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
 
 
 def _label_one_in_worker(episode: Trajectory) -> LabeledTrajectory:
-    return _label_one(episode, _WORKER_EXPERTS, _WORKER_CFG)
+    return _label_one(episode, *_WORKER_ARGS)
 
 
 def _label_one(
-    episode: Trajectory, experts: list[Trajectory], cfg: LabelConfig
+    episode: Trajectory,
+    experts: list[Trajectory],
+    cfg: LabelConfig,
+    plan_rewards: PlanRewards,
 ) -> LabeledTrajectory:
-    raw, best = aggregate_over_experts(episode, experts, cfg)
+    raw, best = aggregate_over_experts(episode, experts, cfg, plan_rewards)
     return LabeledTrajectory(
         base=episode,
         ot_rewards=squash(raw, cfg),
@@ -348,9 +376,12 @@ def label_dataset(
     experts: list[Trajectory],
     cfg: LabelConfig,
     workers: int = 1,
+    plan_rewards: PlanRewards = optimal_plan_rewards,
 ) -> list[LabeledTrajectory]:
     """Label every episode, then post-scale over the whole batch.
 
+    plan_rewards gives an episode's raw rewards against one demonstration:
+    the optimal plan by default, uniform_plan_rewards for that baseline.
     Episodes are independent, so workers > 1 fans them out to a process
     pool; the result is identical to the sequential run, in input order.
     Post-scaling is a barrier and runs once all episodes are labeled.
@@ -364,11 +395,13 @@ def label_dataset(
     if workers > 1 and len(unlabeled) > 1:
         chunk = max(1, len(unlabeled) // (workers * 4))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(experts, cfg)
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(experts, cfg, plan_rewards),
         ) as pool:
             labeled = list(pool.map(_label_one_in_worker, unlabeled, chunksize=chunk))
     else:
-        labeled = [_label_one(ep, experts, cfg) for ep in unlabeled]
+        labeled = [_label_one(ep, experts, cfg, plan_rewards) for ep in unlabeled]
     return post_scale_rewards(labeled, cfg.post_scale)
 
 

@@ -22,6 +22,7 @@ unpadded problems produce identical couplings on the shared support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,6 +90,38 @@ def _validate_instance(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     sa, sb = float(a.sum()), float(b.sum())
     if abs(sa - 1.0) > MARGINAL_SUM_TOL or abs(sb - 1.0) > MARGINAL_SUM_TOL:
         raise MarginalMismatch(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
+
+
+def _solve_on_support(cost, a, b, solve) -> Coupling:
+    """Validate, solve on the positive-weight block, re-embed as a Coupling.
+
+    solve(sub_cost, sub_a, sub_b) runs on strictly positive marginals and
+    returns (plan, iterations, converged). Zero-weight rows and columns of
+    the full plan are exactly zero.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    _validate_instance(cost, a, b)
+
+    rows = a > 0
+    cols = b > 0
+    sub = cost[np.ix_(rows, cols)]
+    plan_sub, iterations, converged = solve(sub, a[rows], b[cols])
+
+    plan = np.zeros_like(cost)
+    plan[np.ix_(rows, cols)] = plan_sub
+    # Summed over the active block only, so padding a problem with
+    # zero-weight rows/columns leaves the reported cost bit-identical.
+    transport_cost = float((plan_sub * sub).sum())
+    return Coupling(
+        plan=plan,
+        row_marginal=a,
+        col_marginal=b,
+        transport_cost=transport_cost,
+        converged=converged,
+        iterations=iterations,
+    )
 
 
 def _half_step(K, G, sums, target, pot, other_pot, other_scale):
@@ -162,29 +195,7 @@ def sinkhorn(
     converged=False if the iteration budget runs out. Identical inputs
     always produce bit-identical couplings.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _validate_instance(cost, a, b)
-
-    rows = a > 0
-    cols = b > 0
-    sub = cost[np.ix_(rows, cols)]
-    plan_sub, iterations, converged = _sinkhorn_active(sub, a[rows], b[cols], params)
-
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = plan_sub
-    # Summed over the active block only, so padding a problem with
-    # zero-weight rows/columns leaves the reported cost bit-identical.
-    transport_cost = float((plan_sub * sub).sum())
-    return Coupling(
-        plan=plan,
-        row_marginal=a,
-        col_marginal=b,
-        transport_cost=transport_cost,
-        converged=converged,
-        iterations=iterations,
-    )
+    return _solve_on_support(cost, a, b, partial(_sinkhorn_active, params=params))
 
 
 def _refine_support_flows(
@@ -234,49 +245,25 @@ def lp_oracle(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> Coupling:
     Formulates the bipartite flow LP (row sums = a, column sums = b, one
     redundant constraint dropped) and solves it with HiGHS, then snaps the
     flows exactly onto the optimal support. Restricted to instances with
-    at most MAX_LP_POINTS total points.
+    at most MAX_LP_POINTS points of positive weight, the size of the LP.
     """
+    return _solve_on_support(cost, a, b, _transport_lp)
+
+
+def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The transportation LP on strictly positive marginals, flows made exact."""
+    n, m = C.shape
+    if n + m > MAX_LP_POINTS:
+        raise TooLarge(
+            f"lp_oracle limited to {MAX_LP_POINTS} weighted points, got {n + m}"
+        )
     from scipy.optimize import linprog  # slow to import; only this oracle needs it
 
-    cost = np.asarray(cost, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _validate_instance(cost, a, b)
-    if len(a) + len(b) > MAX_LP_POINTS:
-        raise TooLarge(
-            f"lp_oracle limited to {MAX_LP_POINTS} total points, got {len(a) + len(b)}"
-        )
-
-    rows = a > 0
-    cols = b > 0
-    sub = cost[np.ix_(rows, cols)]
-    asub, bsub = a[rows], b[cols]
-    n, m = sub.shape
-
-    eqs = []
-    for i in range(n):
-        r = np.zeros(n * m)
-        r[i * m : (i + 1) * m] = 1.0
-        eqs.append(r)
-    for j in range(m):
-        c = np.zeros(n * m)
-        c[j::m] = 1.0
-        eqs.append(c)
-    A_eq = np.array(eqs[:-1])
-    b_eq = np.concatenate([asub, bsub])[:-1]
-    res = linprog(sub.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # Row-sum then column-sum constraints on the row-major flattened plan.
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])[:-1]
+    b_eq = np.concatenate([a, b])[:-1]
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:  # pragma: no cover - feasible by construction
         raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan_sub = _refine_support_flows(res.x.reshape(n, m), asub, bsub)
-
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = plan_sub
-    transport_cost = float((plan_sub * sub).sum())
-    return Coupling(
-        plan=plan,
-        row_marginal=a,
-        col_marginal=b,
-        transport_cost=transport_cost,
-        converged=True,
-        iterations=int(getattr(res, "nit", 0)),
-    )
+    plan = _refine_support_flows(res.x.reshape(n, m), a, b)
+    return plan, int(getattr(res, "nit", 0)), True

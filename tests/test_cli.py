@@ -249,6 +249,33 @@ def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("epsilon", "abc"), ("width", "x")])
+def test_demo_gridworld_config_unparsable_value_names_its_key(tmp_path, capsys, key, value):
+    path = tmp_path / "bad-value.gridworld"
+    path.write_text("".join(f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
+                            for line in REFERENCE_CONFIG.read_text().splitlines(True)))
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+
+
+def test_label_unparsable_flag_value_names_its_key(small_files, tmp_path, capsys):
+    upath, epath = small_files
+    code = main(["label", str(upath), str(epath), str(tmp_path / "out.jsonl"),
+                 "--post-scale", "shift:x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "post_scale" in err and "'shift:x'" in err
+
+
+@pytest.mark.parametrize("flags", [["--post-scale", "return-rangeXYZ"],
+                                   ["--preset", "locomotion"]],
+                         ids=["bad-post-scale", "locomotion-without-action-dim"])
+def test_label_checks_flags_before_reading_files(tmp_path, flags):
+    missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
+    assert main(["label", *missing, *flags]) == 2
+
+
 def test_diagnose_source_expert_column(tmp_path, rng, capsys):
     truth = _reward_file(tmp_path, rng, "t.jsonl", {"a": [1.0], "b": [2.0]})
     records = [{"id": "a", "observations": [[0.0, 1.0]], "rewards": [0.5],

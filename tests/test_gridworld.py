@@ -274,3 +274,23 @@ def test_run_demo_truth_on_small_config():
 def test_run_demo_rejects_unknown_labeler():
     with pytest.raises(ValueError):
         run_demo(reference_config(), "nonsense")
+
+
+def test_run_demo_uniform_on_reference_config():
+    result = run_demo(reference_config(), "uniform")
+    assert result.success_rate == 1.0
+    assert result.episodes_labeled == 100
+    assert result.pearson == pytest.approx(0.9005408178891111, abs=1e-12)
+    assert result.spearman == pytest.approx(0.7689987879792732, abs=1e-12)
+
+
+@pytest.mark.parametrize("labeler", ["otr", "uniform"])
+@pytest.mark.parametrize("n_expert", [1, 3])
+def test_run_demo_return_range_spans_experts_and_unlabeled(n_expert, labeler):
+    # Deterministic expert rollouts all share one return, so a return range
+    # taken over the experts alone is zero.
+    base = reference_config()
+    config = replace(base, n_expert=n_expert,
+                     label=replace(base.label, post_scale=PostScale.return_range(1000.0)))
+    result = run_demo(config, labeler)
+    assert result.episodes_labeled == 100

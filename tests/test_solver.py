@@ -203,14 +203,15 @@ def test_zero_diagonal_cost_bound(rng, eps):
     assert coupling.transport_cost <= eps * np.log(n) + 1e-6
 
 
-def test_zero_weight_rows_masked(rng):
+@pytest.mark.parametrize("solve", [sinkhorn, lp_oracle], ids=["sinkhorn", "lp_oracle"])
+def test_zero_weight_rows_masked(rng, solve):
     # Padded (zero-weight) rows must come back with exactly zero mass and
     # must not perturb the solve on the active support.
     C, a, b = random_cost_instance(rng, 6, 5)
     padded_C = np.vstack([C, rng.uniform(size=(2, 5))])
     padded_a = np.concatenate([a, [0.0, 0.0]])
-    base = sinkhorn(C, a, b)
-    wide = sinkhorn(padded_C, padded_a, b)
+    base = solve(C, a, b)
+    wide = solve(padded_C, padded_a, b)
     assert np.all(wide.plan[6:] == 0.0)
     assert np.array_equal(wide.plan[:6], base.plan)
     assert wide.transport_cost == base.transport_cost
