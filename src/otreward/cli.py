@@ -23,7 +23,7 @@ from .dataset_io import (
     return_correlations,
 )
 from .gridworld import load_harness_config, reference_config, run_demo
-from .labeler import LABEL_KEYS, LabelConfig, ScaleMode, label_dataset
+from .labeler import LABEL_KEYS, LabelConfig, ScaleMode, label_dataset, resolve_workers
 from .measures import FeatureMode
 
 EXIT_OK = 0
@@ -52,11 +52,10 @@ def _build_label_config(args: argparse.Namespace) -> LabelConfig:
 def cmd_label(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cfg = _build_label_config(args)
+    workers = resolve_workers(args.parallelism)
     unlabeled = read_dataset(args.unlabeled)
     experts = read_dataset(args.experts)
-    labeled = label_dataset(
-        unlabeled.episodes, experts.episodes, cfg, workers=args.parallelism
-    )
+    labeled = label_dataset(unlabeled.episodes, experts.episodes, cfg, workers=workers)
     write_labeled(args.out, labeled)
     elapsed = time.perf_counter() - started
     print(f"episodes labeled = {len(labeled)}")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -114,17 +115,31 @@ def _cell_rewards(env: Gridworld, cells: list[tuple[int, int]]) -> np.ndarray:
     return rewards
 
 
-def _rollout(env: Gridworld, rng: np.random.Generator | None, eps: float, ep_id: str) -> Trajectory:
+Policy = Callable[[tuple[int, int]], int | None]
+
+
+def _eps_greedy(env: Gridworld, rng: np.random.Generator, eps: float) -> Policy:
+    """With probability eps a uniform action, else the shortest-path one."""
+
+    def policy(cell: tuple[int, int]) -> int:
+        if eps > 0 and rng.random() < eps:
+            return int(rng.integers(N_ACTIONS))
+        return env.shortest_path_action(cell)
+
+    return policy
+
+
+def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
+    """Walk from the start until the goal, the horizon, or a None action."""
     cells = [env.start]
     actions: list[int] = []
     cell = env.start
     for _ in range(env.horizon):
         if cell == env.goal:
             break
-        if rng is not None and eps > 0 and rng.random() < eps:
-            action = int(rng.integers(N_ACTIONS))
-        else:
-            action = env.shortest_path_action(cell)
+        action = policy(cell)
+        if action is None:
+            break
         actions.append(action)
         cell = env.step(cell, action)
         cells.append(cell)
@@ -157,23 +172,14 @@ def generate_dataset(
     if n_medium < 0 or n_random < 0:
         raise InvalidCounts("episode counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    experts = [_rollout(env, rng, 0.0, f"expert-{i:03d}") for i in range(n_expert)]
-    mixed = [
-        _rollout(env, rng, MEDIUM_EPSILON, f"medium-{i:03d}") for i in range(n_medium)
-    ]
-    mixed += [_rollout(env, rng, 1.0, f"random-{i:03d}") for i in range(n_random)]
+    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}")
+               for i in range(n_expert)]
+    medium, random_walk = _eps_greedy(env, rng, MEDIUM_EPSILON), _eps_greedy(env, rng, 1.0)
+    mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
+    mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
 
     true_returns = {ep.id: ep.episodic_return() for ep in mixed}
-    stripped = [
-        Trajectory(
-            observations=ep.observations,
-            actions=ep.actions,
-            rewards=None,
-            terminals=ep.terminals,
-            id=ep.id,
-        )
-        for ep in mixed
-    ]
+    stripped = [replace(ep, rewards=None) for ep in mixed]
     expert_ds = EpisodicDataset(episodes=experts, metadata={"split": "expert"})
     unlabeled_ds = EpisodicDataset(
         episodes=stripped,
@@ -184,45 +190,34 @@ def generate_dataset(
 
 @dataclass
 class TabularQ:
-    """State-action values over cells actually visited by the dataset."""
+    """State-action values for the (cell, action) pairs the dataset took."""
 
     values: dict[tuple[tuple[int, int], int], float]
     trained_sweeps: int
 
     def value(self, cell: tuple[int, int], action: int) -> float:
-        return self.values.get((cell, action), 0.0)
+        return self.values[(cell, action)]
+
+    def greedy_action(self, cell: tuple[int, int]) -> int | None:
+        """Best action the dataset took at cell, first on ties; None if none."""
+        seen = [a for a in range(N_ACTIONS) if (cell, a) in self.values]
+        return max(seen, key=lambda a: self.values[(cell, a)], default=None)
 
 
 def _decode_transitions(env: Gridworld, dataset: list[LabeledTrajectory]):
-    cells_index: dict[tuple[int, int], int] = {}
-
-    def cid(cell):
-        if cell not in cells_index:
-            cells_index[cell] = len(cells_index)
-        return cells_index[cell]
-
-    s_list, a_list, r_list, sn_list, term_list = [], [], [], [], []
+    """(S, A, R, SN) over every stored move; cell (x, y) is state x * height + y."""
+    S, A, R, SN = [], [], [], []
     for lt in dataset:
         traj = lt.base
-        cells = [env.decode_cell(o) for o in traj.observations]
+        states = [x * env.height + y for x, y in map(env.decode_cell, traj.observations)]
         n_moves = 0 if traj.actions is None else traj.actions.shape[0]
-        for t in range(min(n_moves, len(cells) - 1)):
-            s_list.append(cid(cells[t]))
-            a_list.append(int(round(float(traj.actions[t][0]))))
-            r_list.append(float(lt.ot_rewards[t]))
-            sn_list.append(cid(cells[t + 1]))
-            if traj.terminals is not None:
-                term_list.append(bool(traj.terminals[t + 1]))
-            else:
-                term_list.append(cells[t + 1] == env.goal)
-    return (
-        cells_index,
-        np.array(s_list, dtype=np.int64),
-        np.array(a_list, dtype=np.int64),
-        np.array(r_list),
-        np.array(sn_list, dtype=np.int64),
-        np.array(term_list, dtype=bool),
-    )
+        for t in range(min(n_moves, len(states) - 1)):
+            S.append(states[t])
+            A.append(int(round(float(traj.actions[t][0]))))
+            R.append(float(lt.ot_rewards[t]))
+            SN.append(states[t + 1])
+    S, A, SN = (np.array(xs, dtype=np.int64) for xs in (S, A, SN))
+    return S, A, np.array(R), SN
 
 
 def fit_offline_q(
@@ -232,29 +227,30 @@ def fit_offline_q(
 
     Q(s, a) <- mean over matching transitions of r + gamma * max Q(s', a'),
     where the max runs over actions the dataset actually takes at s'
-    (support restriction) and terminal transitions bootstrap to zero.
-    Stops when the largest update falls below 1e-8.
+    (support restriction). A transition into the goal cell is terminal and
+    bootstraps to zero, whatever the episode's stored terminals say. Stops
+    when the largest update falls below 1e-8 or after sweeps (>= 1) sweeps.
     """
-    cells_index, S, A, R, SN, TERM = _decode_transitions(env, dataset)
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    S, A, R, SN = _decode_transitions(env, dataset)
     if len(S) == 0:
         raise EmptyDataset("no transitions to fit on")
-    n_states = len(cells_index)
-    seen = np.zeros((n_states, N_ACTIONS), dtype=bool)
+    seen = np.zeros((env.width * env.height, N_ACTIONS), dtype=bool)
     seen[S, A] = True
     any_seen = seen.any(axis=1)
     pair = S * N_ACTIONS + A
     upairs, inv = np.unique(pair, return_inverse=True)
     counts = np.bincount(inv).astype(np.float64)
+    goal_state = env.goal[0] * env.height + env.goal[1]
     gamma = env.discount
 
-    Q = np.zeros((n_states, N_ACTIONS))
-    trained = 0
-    for sweep in range(sweeps):
-        trained = sweep + 1
+    Q = np.zeros(seen.shape)
+    for sweep in range(1, sweeps + 1):
         masked = np.where(seen, Q, -np.inf)
         V = masked.max(axis=1)
         V[~any_seen] = 0.0
-        targets = R + gamma * np.where(TERM, 0.0, V[SN])
+        targets = R + gamma * np.where(SN == goal_state, 0.0, V[SN])
         sums = np.bincount(inv, weights=targets, minlength=len(upairs))
         new_values = sums / counts
         delta = float(np.abs(new_values - Q[upairs // N_ACTIONS, upairs % N_ACTIONS]).max())
@@ -262,28 +258,20 @@ def fit_offline_q(
         if delta < Q_CONVERGENCE_TOL:
             break
 
-    values = {}
-    for cell, idx in cells_index.items():
-        for action in range(N_ACTIONS):
-            if seen[idx, action]:
-                values[(cell, action)] = float(Q[idx, action])
-    return TabularQ(values=values, trained_sweeps=trained)
+    values = {(divmod(int(s), env.height), int(a)): float(Q[s, a])
+              for s, a in zip(*np.nonzero(seen))}
+    return TabularQ(values=values, trained_sweeps=sweep)
 
 
-def evaluate_policy(q: TabularQ, env: Gridworld, episodes: int = 1) -> float:
-    """Greedy rollout success rate; deterministic, so one episode suffices."""
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
-    successes = 0
-    for _ in range(episodes):
-        cell = env.start
-        for _ in range(env.horizon):
-            if cell == env.goal:
-                break
-            qs = [q.value(cell, a) for a in range(N_ACTIONS)]
-            cell = env.step(cell, int(np.argmax(qs)))
-        successes += cell == env.goal
-    return successes / episodes
+def evaluate_policy(q: TabularQ, env: Gridworld) -> float:
+    """1.0 if the greedy rollout reaches the goal within the horizon, else 0.0.
+
+    The greedy policy picks among the actions the dataset took at a cell
+    (q.greedy_action), so an action with no learned value is never taken;
+    a cell with no such action ends the rollout as a failure. Dynamics and
+    policy are deterministic, so one rollout decides.
+    """
+    return float(_rollout(env, q.greedy_action, "greedy").terminals[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,7 @@ def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
     t0 = time.perf_counter()
     q = fit_offline_q(labeled, env, sweeps=config.sweeps)
     fit_seconds = time.perf_counter() - t0
-    success = evaluate_policy(q, env, episodes=1)
+    success = evaluate_policy(q, env)
 
     return DemoResult(
         labeler=labeler,

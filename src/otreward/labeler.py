@@ -371,6 +371,13 @@ def _label_one(
     )
 
 
+def resolve_workers(workers: int) -> int:
+    """The process count label_dataset uses: 0 means every core."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 = all cores), got {workers}")
+    return workers or os.cpu_count() or 1
+
+
 def label_dataset(
     unlabeled: list[Trajectory],
     experts: list[Trajectory],
@@ -386,12 +393,11 @@ def label_dataset(
     pool; the result is identical to the sequential run, in input order.
     Post-scaling is a barrier and runs once all episodes are labeled.
     """
+    workers = resolve_workers(workers)
     if not experts:
         raise EmptyExpertSet("at least one expert demonstration is required")
     if not unlabeled:
         return []
-    if workers == 0:
-        workers = os.cpu_count() or 1
     if workers > 1 and len(unlabeled) > 1:
         chunk = max(1, len(unlabeled) // (workers * 4))
         with ProcessPoolExecutor(

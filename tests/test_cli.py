@@ -239,6 +239,13 @@ def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
     assert "epsilom" in capsys.readouterr().err
 
 
+def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-sweeps.gridworld"
+    path.write_text(REFERENCE_CONFIG.read_text().replace("sweeps = 4000", "sweeps = 0"))
+    assert main(["demo-gridworld", "--config", str(path), "--labeler", "truth"]) == 2
+    assert "sweeps" in capsys.readouterr().err
+
+
 def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
     upath, epath = small_files
     out = tmp_path / "out.jsonl"
@@ -269,8 +276,10 @@ def test_label_unparsable_flag_value_names_its_key(small_files, tmp_path, capsys
 
 
 @pytest.mark.parametrize("flags", [["--post-scale", "return-rangeXYZ"],
-                                   ["--preset", "locomotion"]],
-                         ids=["bad-post-scale", "locomotion-without-action-dim"])
+                                   ["--preset", "locomotion"],
+                                   ["--parallelism", "-1"]],
+                         ids=["bad-post-scale", "locomotion-without-action-dim",
+                              "negative-parallelism"])
 def test_label_checks_flags_before_reading_files(tmp_path, flags):
     missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
     assert main(["label", *missing, *flags]) == 2

@@ -189,16 +189,18 @@ def test_full_coverage_fit_matches_value_iteration():
 
 
 def test_zero_q_corridor_pointing_away_fails():
-    # Goal to the left, tie rule prefers action 0 (right): greedy walks
-    # into the wall forever.
+    # Goal to the left, and the only action seen at (1, 0) is 0 (right):
+    # greedy bumps into the wall until the horizon runs out.
     env = Gridworld(width=2, height=1, start=(1, 0), goal=(0, 0), horizon=5)
-    q = TabularQ(values={}, trained_sweeps=0)
+    q = TabularQ(values={((1, 0), 0): 0.0}, trained_sweeps=0)
     assert evaluate_policy(q, env) == 0.0
 
 
 def test_zero_q_adjacent_goal_succeeds():
     env = Gridworld(width=2, height=1, start=(0, 0), goal=(1, 0), horizon=5)
-    q = TabularQ(values={}, trained_sweeps=0)
+    # No seen action at the start: the rollout ends there, a failure.
+    assert evaluate_policy(TabularQ(values={}, trained_sweeps=0), env) == 0.0
+    q = TabularQ(values={((0, 0), 0): 0.0}, trained_sweeps=0)
     assert evaluate_policy(q, env) == 1.0
 
 
@@ -206,6 +208,28 @@ def test_fit_requires_transitions():
     env = small_env()
     with pytest.raises(EmptyDataset):
         fit_offline_q([], env)
+
+
+def test_q_fit_on_reference_config_is_pinned():
+    config = reference_config()
+    env = config.env
+    experts, unlabeled = generate_dataset(
+        env, config.n_expert, config.n_medium, config.n_random, config.seed
+    )
+    labeled = [LabeledTrajectory(base=ep, ot_rewards=ground_truth_rewards(env, ep))
+               for ep in experts.episodes + unlabeled.episodes]
+    q = fit_offline_q(labeled, env, sweeps=config.sweeps)
+    assert q.trained_sweeps == 16
+    assert len(q.values) == 251
+    # 14 moves from the start to the goal: the last pays 1, discounted 13 times.
+    assert q.value((0, 0), 0) == pytest.approx(0.99**13, abs=1e-12)
+
+
+def test_fit_rejects_zero_sweeps():
+    env = small_env()
+    experts, _ = generate_dataset(env, 1, 0, 0, seed=0)
+    with pytest.raises(ValueError, match="sweeps"):
+        fit_offline_q(as_labeled(experts.episodes), env, sweeps=0)
 
 
 def test_ground_truth_rewards_match_generated():
@@ -294,3 +318,13 @@ def test_run_demo_return_range_spans_experts_and_unlabeled(n_expert, labeler):
                      label=replace(base.label, post_scale=PostScale.return_range(1000.0)))
     result = run_demo(config, labeler)
     assert result.episodes_labeled == 100
+
+
+@pytest.mark.parametrize("labeler", ["otr", "uniform"])
+def test_run_demo_succeeds_on_12x12(labeler):
+    # Every learned Q is negative under the reference shift, so a greedy
+    # policy that also weighed actions the dataset never took would prefer
+    # them, e.g. a wall bump, and stall short of the goal.
+    env = Gridworld(width=12, height=12, start=(0, 0), goal=(11, 11))
+    result = run_demo(replace(reference_config(), env=env, seed=1), labeler)
+    assert result.success_rate == 1.0

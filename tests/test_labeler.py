@@ -231,6 +231,12 @@ def test_label_dataset_parallel_matches_sequential(rng):
         assert a.source_expert == b.source_expert
 
 
+def test_label_dataset_rejects_negative_workers(rng):
+    experts = [make_episode(rng, 5, 3)]
+    with pytest.raises(ValueError, match="workers"):
+        label_dataset([make_episode(rng, 4, 3)], experts, PLAIN, workers=-1)
+
+
 def test_raw_rewards_nonpositive_and_squashed_in_range(rng):
     experts = [make_episode(rng, 7, 3)]
     eps = [make_episode(rng, int(rng.integers(2, 12)), 3) for _ in range(5)]
