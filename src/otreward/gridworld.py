@@ -291,6 +291,10 @@ class HarnessConfig:
     label: LabelConfig = field(default_factory=LabelConfig)
     sweeps: int = 4000
 
+    def __post_init__(self):
+        if self.sweeps < 1:  # checked before any episode is generated or labeled
+            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+
 
 def reference_config() -> HarnessConfig:
     """The seeded 8x8 configuration used by the acceptance checks.

@@ -372,10 +372,14 @@ def _label_one(
 
 
 def resolve_workers(workers: int) -> int:
-    """The process count label_dataset uses: 0 means every core."""
+    """The process count label_dataset uses: 0 means every core it may run on."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0 (0 = all cores), got {workers}")
-    return workers or os.cpu_count() or 1
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def label_dataset(

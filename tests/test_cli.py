@@ -239,10 +239,16 @@ def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
     assert "epsilom" in capsys.readouterr().err
 
 
-def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys):
+def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("episodes generated before the config was validated")
+
+    monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
     path = tmp_path / "no-sweeps.gridworld"
     path.write_text(REFERENCE_CONFIG.read_text().replace("sweeps = 4000", "sweeps = 0"))
-    assert main(["demo-gridworld", "--config", str(path), "--labeler", "truth"]) == 2
+    with pytest.raises(ValueError, match="sweeps"):
+        otreward.load_harness_config(path)
+    assert main(["demo-gridworld", "--config", str(path), "--labeler", "otr"]) == 2
     assert "sweeps" in capsys.readouterr().err
 
 

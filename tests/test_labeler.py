@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from otreward.errors import (
     ExpertRewardsMissing,
     NonFiniteInput,
 )
+from otreward.labeler import resolve_workers
 
 from conftest import make_episode
 
@@ -235,6 +238,15 @@ def test_label_dataset_rejects_negative_workers(rng):
     experts = [make_episode(rng, 5, 3)]
     with pytest.raises(ValueError, match="workers"):
         label_dataset([make_episode(rng, 4, 3)], experts, PLAIN, workers=-1)
+
+
+def test_zero_workers_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert resolve_workers(0) == 3
+    assert resolve_workers(2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers(0) == 64
 
 
 def test_raw_rewards_nonpositive_and_squashed_in_range(rng):

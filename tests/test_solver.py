@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from otreward import CostKind, SinkhornParams, lp_oracle, sinkhorn
+from otreward.solver import _BLOCK, _half_step, _sinkhorn_active
 from otreward.errors import (
     DimensionMismatch,
     MarginalMismatch,
@@ -181,6 +182,79 @@ def test_iterates_match_textbook_updates(kind, eps, seed):
         assert coupling.iterations == k
         expected = textbook_sinkhorn_plan(C, a, b, eps, k)
         assert np.abs(coupling.plan - expected).max() <= 1e-12
+
+
+def per_iteration_sinkhorn(C, a, b, params):
+    """Reference: the solver loop with every guard checked inside each iteration."""
+    tol = params.marginal_tolerance
+    K = -C / params.epsilon
+    f, su = -K.max(axis=1), np.ones(len(a))
+    g, sv = np.zeros(len(b)), np.ones(len(b))
+    G = np.exp(K + f[:, None])
+    converged = False
+    for it in range(params.max_iterations):
+        row_sums = np.dot(G, sv)
+        r = su * row_sums - a
+        if it > 0 and np.dot(r, r) <= len(a) * tol * tol:
+            plan = su[:, None] * G * sv
+            if (np.abs(plan.sum(axis=1) - a).max() <= tol
+                    and np.abs(plan.sum(axis=0) - b).max() <= tol):
+                converged = True
+                break
+        f, su, g, sv = _half_step(K, G, row_sums, a, f, g, sv)
+        g, sv, f, su = _half_step(K.T, G.T, np.dot(su, G), b, g, f, su)
+    else:
+        plan = su[:, None] * G * sv
+    return plan, it + 1, converged
+
+
+def _oracle_instance(seed, kind, dim, max_rows=65):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(3, max_rows + 1)), int(rng.integers(3, max_rows + 1))
+    return random_cost_instance(rng, rows, cols, dim=dim, cost=kind)
+
+
+# (instance, params, reference converges?). The squared-Euclidean and
+# eps = 0.001 instances send half-steps to the log domain mid-block; the
+# 1x1 instance passes the gate at iteration 0, which never decides; the
+# tolerance-1e-20 instance reaches a bitwise fixpoint that passes the gate
+# on many iterations without passing the explicit check.
+BLOCK_ORACLE_CASES = [
+    pytest.param(_oracle_instance(seed, CostKind.COSINE, 3),
+                 SinkhornParams(epsilon=eps), True, id=f"demo-{eps}-{seed}")
+    for eps in (0.05, 0.01)
+    for seed in (401, 402, 403)
+] + [
+    pytest.param(_oracle_instance(seed, kind, dim), SinkhornParams(epsilon=eps,
+                 max_iterations=300), False, id=f"log-domain-{kind.value}-{seed}")
+    for kind, dim, eps in ((CostKind.SQUARED_EUCLIDEAN, 14, 0.01), (CostKind.COSINE, 3, 0.001))
+    for seed in (500, 501, 502)
+] + [
+    pytest.param(random_cost_instance(np.random.default_rng(7), 100, 100, dim=8),
+                 SinkhornParams(), False, id="capped-100x100"),
+    pytest.param((np.array([[0.7]]), np.ones(1), np.ones(1)), SinkhornParams(), True,
+                 id="one-by-one"),
+    pytest.param(_oracle_instance(300, CostKind.COSINE, 4, max_rows=19),
+                 SinkhornParams(epsilon=0.5, max_iterations=100, marginal_tolerance=1e-20),
+                 False, id="fixpoint-1e-20"),
+] + [
+    pytest.param(_oracle_instance(seed, kind, 14), SinkhornParams(epsilon=0.01,
+                 max_iterations=k), False, id=f"cap-{k}-{kind.value}-{seed}")
+    for k in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1)
+    for kind in (CostKind.COSINE, CostKind.SQUARED_EUCLIDEAN)
+    for seed in (500, 502)
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("instance, params, converges", BLOCK_ORACLE_CASES)
+def test_block_screen_matches_per_iteration_loop(instance, params, converges):
+    C, a, b = instance
+    expected, iterations, converged = per_iteration_sinkhorn(C, a, b, params)
+    assert converged == converges
+    plan, got_iterations, got_converged = _sinkhorn_active(C, a, b, params)
+    assert np.array_equal(plan, expected)
+    assert (got_iterations, got_converged) == (iterations, converged)
 
 
 def test_deterministic_replay(rng):
