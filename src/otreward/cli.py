@@ -22,8 +22,9 @@ from .dataset_io import (
     write_labeled,
     return_correlations,
 )
-from .gridworld import load_harness_config, reference_config, run_demo
-from .labeler import LABEL_KEYS, LabelConfig, ScaleMode, label_dataset, resolve_workers
+from .gridworld import LABELERS, load_harness_config, reference_config, run_demo
+from .labeler import (LABEL_KEYS, PRESETS, LabelConfig, ScaleMode, label_dataset,
+                      resolve_workers)
 from .measures import FeatureMode
 
 EXIT_OK = 0
@@ -33,20 +34,10 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 def _build_label_config(args: argparse.Namespace) -> LabelConfig:
-    """The preset's config with every flag the user set applied on top."""
-    if args.preset == "locomotion":
-        if args.action_dim is None:
-            raise ValueError("--preset locomotion requires --action-dim")
-        cfg = LabelConfig.locomotion_preset(args.action_dim)
-    elif args.preset == "antmaze":
-        cfg = LabelConfig.antmaze_preset()
-    elif args.preset == "plain":
-        cfg = LabelConfig.plain_preset()
-    else:
-        cfg = LabelConfig()
-    flags = {key: str(value) for key, value in vars(args).items()
+    """The preset's settings with every flag the user set applied on top."""
+    flags = {key: value for key, value in vars(args).items()
              if key in LABEL_KEYS and value is not None}
-    return cfg.with_text(flags)
+    return LabelConfig().with_text({**PRESETS.get(args.preset, {}), **flags})
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -147,18 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("unlabeled", help="path to the unlabeled episode file")
     label.add_argument("experts", help="path to the expert demonstration file")
     label.add_argument("out", help="path for the labeled output file")
-    label.add_argument("--preset", choices=["locomotion", "antmaze", "plain"])
+    label.add_argument("--preset", choices=list(PRESETS))
     label.add_argument("--cost", choices=[k.value for k in CostKind])
     label.add_argument("--features", choices=[m.value for m in FeatureMode])
-    label.add_argument("--epsilon", type=float, help="entropic regularization")
-    label.add_argument("--max-iters", type=int, dest="max_iterations",
+    # LABEL_KEYS parses the values of these flags, as it does in config files.
+    label.add_argument("--epsilon", help="entropic regularization")
+    label.add_argument("--max-iters", dest="max_iterations",
                        metavar="MAX_ITERS", help="Sinkhorn iteration cap")
-    label.add_argument("--alpha", type=float, help="squash scale")
-    label.add_argument("--beta", type=float, help="squash rate")
+    label.add_argument("--alpha", help="squash scale")
+    label.add_argument("--beta", help="squash rate")
     label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode])
-    label.add_argument("--episode-length", type=int,
+    label.add_argument("--episode-length",
                        help="horizon constant for locomotion/antmaze exponents")
-    label.add_argument("--action-dim", type=int,
+    label.add_argument("--action-dim",
                        help="action dimension for the locomotion exponent")
     label.add_argument("--post-scale",
                        help="none | return-range[:target] | shift:<delta>")
@@ -180,11 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo-gridworld", help="end-to-end gridworld demo")
     demo.add_argument("--config", help="key = value config file (default: built-in)")
-    demo.add_argument(
-        "--labeler",
-        choices=["otr", "uds", "uniform", "truth"],
-        default="otr",
-    )
+    demo.add_argument("--labeler", choices=list(LABELERS), default="otr")
     demo.set_defaults(func=cmd_demo_gridworld)
     return parser
 

@@ -87,10 +87,6 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
             raise ParseError(line_no, f"malformed {key!r}: {exc}") from None
 
     obs = to_array("observations")
-    if obs.ndim != 2 or obs.shape[0] < 1:
-        raise ParseError(
-            line_no, f"'observations' must be a nonempty list of equal-length rows"
-        )
     if not np.isfinite(obs).all():
         raise NonFiniteValue(f"line {line_no}: observations contain NaN or infinity")
 

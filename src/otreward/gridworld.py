@@ -13,6 +13,7 @@ Rewards are attached per state: rewards[t] belongs to the transition
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -73,6 +74,9 @@ class Gridworld:
             )
         if not 0 < self.discount < 1:
             raise ValueError(f"discount must be in (0, 1), got {self.discount}")
+        for name in ("step_reward", "goal_reward"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def manhattan_distance(self) -> int:
         return abs(self.start[0] - self.goal[0]) + abs(self.start[1] - self.goal[1])
@@ -401,36 +405,41 @@ class DemoResult:
     trained_sweeps: int
 
 
-def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
-    """Generate data, label it with the chosen method, fit Q, evaluate.
+# Demo labelers: name -> f(config, experts, unlabeled), which labels the experts
+# and the unlabeled episodes together, experts first (the order uds_rewards
+# returns), so a post-scale such as return-range spans the whole dataset the
+# Q-fit sees. label_dataset is looked up per call, so rebinding it (as a
+# tracer does) reaches these too.
+LABELERS: dict[str, Callable[..., list[LabeledTrajectory]]] = {
+    "otr": lambda config, experts, unlabeled: label_dataset(
+        experts + unlabeled, experts, config.label),
+    "uds": lambda config, experts, unlabeled: uds_rewards(
+        unlabeled, experts, r_min=config.env.step_reward),
+    "uniform": lambda config, experts, unlabeled: label_dataset(
+        experts + unlabeled, experts, config.label, plan_rewards=uniform_plan_rewards),
+    "truth": lambda config, experts, unlabeled: [
+        LabeledTrajectory(base=ep, ot_rewards=ground_truth_rewards(config.env, ep))
+        for ep in experts + unlabeled],
+}
 
-    labeler is one of "otr", "uds", "uniform", "truth". Each labels the
-    experts and the unlabeled episodes together, experts first, so a
-    post-scale such as return-range spans the whole dataset the Q-fit
-    sees. The correlations compare the unlabeled episodes only.
+
+def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
+    """Generate data, label it with LABELERS[labeler], fit Q, evaluate.
+
+    The correlations compare the unlabeled episodes only.
     Seed-deterministic end to end.
     """
+    if labeler not in LABELERS:
+        raise ValueError(f"unknown labeler {labeler!r}; expected one of {', '.join(LABELERS)}")
     env = config.env
     experts_ds, unlabeled_ds = generate_dataset(
         env, config.n_expert, config.n_medium, config.n_random, config.seed
     )
     experts = experts_ds.episodes
     unlabeled = unlabeled_ds.episodes
-    cfg = config.label
-    episodes = experts + unlabeled  # experts first, the order uds_rewards returns
 
     t0 = time.perf_counter()
-    if labeler == "otr":
-        labeled = label_dataset(episodes, experts, cfg)
-    elif labeler == "uniform":
-        labeled = label_dataset(episodes, experts, cfg, plan_rewards=uniform_plan_rewards)
-    elif labeler == "uds":
-        labeled = uds_rewards(unlabeled, experts, r_min=env.step_reward)
-    elif labeler == "truth":
-        labeled = [LabeledTrajectory(base=ep, ot_rewards=ground_truth_rewards(env, ep))
-                   for ep in episodes]
-    else:
-        raise ValueError(f"unknown labeler {labeler!r}")
+    labeled = LABELERS[labeler](config, experts, unlabeled)
     label_seconds = time.perf_counter() - t0
     unlabeled_part = labeled[len(experts) :]
 

@@ -9,7 +9,8 @@ so the rewards of an episode always sum to minus its transport cost. With
 several demonstrations the episode is aligned against each independently
 and the one yielding the best episodic return wins. Raw rewards are
 nonpositive; an exponential squash maps them into (0, alpha], and an
-optional dataset-level rescale or shift runs last.
+optional dataset-level rescale or shift runs last. PRESETS holds the
+paper's squash settings by name.
 
 Baselines: a uniform transport plan (every step spread equally over the
 demonstration; label_dataset with plan_rewards=uniform_plan_rewards) and
@@ -18,11 +19,13 @@ UDS (constant minimum reward on unlabeled episodes).
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -68,6 +71,8 @@ class PostScale:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PostScaleKind(self.kind))
+        if not math.isfinite(self.value):
+            raise ValueError(f"post-scale value must be finite, got {self.value}")
 
     @classmethod
     def none(cls) -> "PostScale":
@@ -125,8 +130,10 @@ class LabelConfig:
     post_scale: PostScale = field(default_factory=PostScale.none)
 
     def __post_init__(self):
-        if not self.squash_alpha > 0:
-            raise ValueError(f"squash_alpha must be > 0, got {self.squash_alpha}")
+        if not 0 < self.squash_alpha < math.inf:
+            raise ValueError(f"squash_alpha must be finite and > 0, got {self.squash_alpha}")
+        if not math.isfinite(self.squash_beta):
+            raise ValueError(f"squash_beta must be finite, got {self.squash_beta}")
         if self.episode_length < 1:
             raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
         if self.squash_scale is ScaleMode.LOCOMOTION:
@@ -173,34 +180,17 @@ class LabelConfig:
     @classmethod
     def locomotion_preset(cls, action_dim: int) -> "LabelConfig":
         """s(r) = 5 * exp(5 * T * r / |A|), T = 1000, range-rescaled."""
-        return cls(
-            squash_alpha=5.0,
-            squash_beta=5.0,
-            squash_scale=ScaleMode.LOCOMOTION,
-            episode_length=1000,
-            action_dim=action_dim,
-            post_scale=PostScale.return_range(1000.0),
-        )
+        return cls().with_text({**PRESETS["locomotion"], "action_dim": str(action_dim)})
 
     @classmethod
     def antmaze_preset(cls) -> "LabelConfig":
         """s(r) = 5 * exp(T * r), T = 1000, shifted down by 2."""
-        return cls(
-            squash_alpha=5.0,
-            squash_scale=ScaleMode.ANTMAZE,
-            episode_length=1000,
-            post_scale=PostScale.shift(-2.0),
-        )
+        return cls().with_text(PRESETS["antmaze"])
 
     @classmethod
     def plain_preset(cls) -> "LabelConfig":
         """s(r) = exp(r): alpha = beta = 1, no post-scaling."""
-        return cls(
-            squash_alpha=1.0,
-            squash_beta=1.0,
-            squash_scale=ScaleMode.PLAIN,
-            post_scale=PostScale.none(),
-        )
+        return cls().with_text(PRESETS["plain"])
 
 
 # The text spelling of every LabelConfig setting, shared by the CLI flags and
@@ -217,6 +207,17 @@ LABEL_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "episode_length": ("episode_length", int),
     "action_dim": ("action_dim", int),
     "post_scale": ("post_scale", PostScale.parse),
+}
+
+
+# The paper's squash settings by name, spelled as LABEL_KEYS text. The
+# locomotion exponent also needs action_dim, which no preset can fix.
+PRESETS: dict[str, dict[str, str]] = {
+    "locomotion": {"alpha": "5.0", "beta": "5.0", "squash_mode": "locomotion",
+                   "episode_length": "1000", "post_scale": "return-range:1000.0"},
+    "antmaze": {"alpha": "5.0", "squash_mode": "antmaze", "episode_length": "1000",
+                "post_scale": "shift:-2.0"},
+    "plain": {"alpha": "1.0", "beta": "1.0", "squash_mode": "plain", "post_scale": "none"},
 }
 
 
@@ -343,19 +344,6 @@ def post_scale_rewards(
     return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
 
 
-# Worker state for parallel labeling, (experts, cfg, plan_rewards); set once per worker.
-_WORKER_ARGS: tuple[list[Trajectory], LabelConfig, PlanRewards] | None = None
-
-
-def _init_worker(*args) -> None:
-    global _WORKER_ARGS
-    _WORKER_ARGS = args
-
-
-def _label_one_in_worker(episode: Trajectory) -> LabeledTrajectory:
-    return _label_one(episode, *_WORKER_ARGS)
-
-
 def _label_one(
     episode: Trajectory,
     experts: list[Trajectory],
@@ -402,16 +390,13 @@ def label_dataset(
         raise EmptyExpertSet("at least one expert demonstration is required")
     if not unlabeled:
         return []
+    label_one = partial(_label_one, experts=experts, cfg=cfg, plan_rewards=plan_rewards)
     if workers > 1 and len(unlabeled) > 1:
         chunk = max(1, len(unlabeled) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(experts, cfg, plan_rewards),
-        ) as pool:
-            labeled = list(pool.map(_label_one_in_worker, unlabeled, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            labeled = list(pool.map(label_one, unlabeled, chunksize=chunk))
     else:
-        labeled = [_label_one(ep, experts, cfg, plan_rewards) for ep in unlabeled]
+        labeled = list(map(label_one, unlabeled))
     return post_scale_rewards(labeled, cfg.post_scale)
 
 

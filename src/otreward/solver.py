@@ -24,6 +24,7 @@ unpadded problems produce identical couplings on the shared support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,13 +55,13 @@ class SinkhornParams:
     marginal_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.marginal_tolerance > 0:
+        if not 0 < self.marginal_tolerance < math.inf:
             raise ValueError(
-                f"marginal_tolerance must be > 0, got {self.marginal_tolerance}"
+                f"marginal_tolerance must be finite and > 0, got {self.marginal_tolerance}"
             )
 
 

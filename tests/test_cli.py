@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import otreward
-from otreward import EpisodicDataset, Trajectory, cli, errors, write_dataset
+from otreward import EpisodicDataset, LabelConfig, Trajectory, cli, errors, write_dataset
 from otreward.cli import main
 
 from conftest import make_episode
@@ -252,6 +252,20 @@ def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys, monk
     assert "sweeps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("goal_reward", "nan"), ("step_reward", "-inf"),
+                                        ("beta", "nan"), ("epsilon", "inf")])
+def test_demo_gridworld_config_non_finite_value_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                               key, value):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("episodes generated before the config was validated")
+
+    monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
+    path = tmp_path / "non-finite.gridworld"
+    path.write_text(REFERENCE_CONFIG.read_text() + f"{key} = {value}\n")
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
     upath, epath = small_files
     out = tmp_path / "out.jsonl"
@@ -274,21 +288,36 @@ def test_demo_gridworld_config_unparsable_value_names_its_key(tmp_path, capsys, 
 
 def test_label_unparsable_flag_value_names_its_key(small_files, tmp_path, capsys):
     upath, epath = small_files
-    code = main(["label", str(upath), str(epath), str(tmp_path / "out.jsonl"),
-                 "--post-scale", "shift:x"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "post_scale" in err and "'shift:x'" in err
+    for flag, key, value in [("--post-scale", "post_scale", "shift:x"),
+                             ("--epsilon", "epsilon", "abc"),
+                             ("--max-iters", "max_iterations", "1.5")]:
+        code = main(["label", str(upath), str(epath), str(tmp_path / "out.jsonl"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
 
 
 @pytest.mark.parametrize("flags", [["--post-scale", "return-rangeXYZ"],
                                    ["--preset", "locomotion"],
-                                   ["--parallelism", "-1"]],
+                                   ["--parallelism", "-1"],
+                                   ["--beta", "nan"],
+                                   ["--alpha", "inf"],
+                                   ["--post-scale", "shift:nan"],
+                                   ["--post-scale", "return-range:inf"]],
                          ids=["bad-post-scale", "locomotion-without-action-dim",
-                              "negative-parallelism"])
+                              "negative-parallelism", "nan-beta", "infinite-alpha",
+                              "nan-shift", "infinite-return-range"])
 def test_label_checks_flags_before_reading_files(tmp_path, flags):
     missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
     assert main(["label", *missing, *flags]) == 2
+
+
+@pytest.mark.parametrize("preset", ["locomotion", "antmaze", "plain"])
+def test_cli_preset_matches_library_preset(preset):
+    flags = ["--action-dim", "6"] if preset == "locomotion" else []
+    args = cli.build_parser().parse_args(["label", "u", "e", "out", "--preset", preset, *flags])
+    expected = getattr(LabelConfig, f"{preset}_preset")(*([6] if flags else []))
+    assert cli._build_label_config(args) == expected
 
 
 def test_diagnose_source_expert_column(tmp_path, rng, capsys):

@@ -78,13 +78,14 @@ def test_two_records_parse(tmp_path):
 
 def test_ragged_observations_name_the_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(
-        '{"observations": [[1, 2]]}\n{"observations": [[1, 2], [3]]}\n'
-    )
-    with pytest.raises(ParseError) as exc:
-        read_dataset(path)
-    assert exc.value.line_number == 2
-    assert "line 2" in str(exc.value)
+    for observations in ("[[1, 2], [3]]", "[1, 2]", "[]"):  # ragged, 1-D, empty
+        path.write_text(
+            '{"observations": [[1, 2]]}\n{"observations": %s}\n' % observations
+        )
+        with pytest.raises(ParseError) as exc:
+            read_dataset(path)
+        assert exc.value.line_number == 2
+        assert "line 2" in str(exc.value)
 
 
 def test_invalid_json_names_the_line(tmp_path):

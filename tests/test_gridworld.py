@@ -93,6 +93,10 @@ def test_env_validation():
         Gridworld(width=3, height=3, start=(0, 0), goal=(5, 5))
     with pytest.raises(ValueError):
         Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7), horizon=3)
+    for key in ("step_reward", "goal_reward"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=key):
+                Gridworld(width=3, height=3, start=(0, 0), goal=(2, 2), **{key: bad})
 
 
 def test_observation_round_trip():

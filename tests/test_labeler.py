@@ -362,6 +362,15 @@ def test_label_config_validation():
         LabelConfig(squash_alpha=0.0)
     with pytest.raises(ValueError):
         LabelConfig(squash_scale=ScaleMode.LOCOMOTION)  # needs action_dim
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="squash_alpha"):
+            LabelConfig(squash_alpha=bad)
+        with pytest.raises(ValueError, match="squash_beta"):
+            LabelConfig(squash_beta=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PostScale.shift(bad)
+        with pytest.raises(ValueError, match="finite"):
+            PostScale.return_range(bad)
     cfg = LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=6)
     assert cfg.squash_exponent() == pytest.approx(5.0 * 1000 / 6)
     assert LabelConfig.antmaze_preset().squash_exponent() == 1000.0

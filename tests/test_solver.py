@@ -306,3 +306,8 @@ def test_params_validation():
         SinkhornParams(max_iterations=0)
     with pytest.raises(ValueError):
         SinkhornParams(marginal_tolerance=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            SinkhornParams(epsilon=bad)
+        with pytest.raises(ValueError, match="marginal_tolerance"):
+            SinkhornParams(marginal_tolerance=bad)
