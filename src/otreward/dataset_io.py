@@ -2,9 +2,10 @@
 
 Files are newline-delimited records, one JSON object per episode, with
 keys ``observations`` (list of lists of numbers), optional ``actions``,
-``rewards``, ``terminals`` and ``id``. Numbers are serialized with full
-round-trip precision. Labeled outputs populate ``rewards`` with the
-computed labels and add a ``source_expert`` field.
+``rewards``, ``terminals`` (booleans, or numbers equal to 0 or 1) and
+``id``. Numbers are serialized with full round-trip precision. Labeled
+outputs populate ``rewards`` with the computed labels and add a
+``source_expert`` field.
 
 All writes go to a temporary file that is renamed into place on success,
 so a failed run never leaves a partial output behind.
@@ -100,7 +101,11 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
         if not np.isfinite(rewards).all():
             raise NonFiniteValue(f"line {line_no}: rewards contain NaN or infinity")
     if rec.get("terminals") is not None:
-        terminals = to_array("terminals", dtype=bool)
+        terminals = to_array("terminals", dtype=None)
+        # dtype=bool would read every string and nonzero number as True.
+        if terminals.dtype.kind not in "biuf" or not np.all((terminals == 0) | (terminals == 1)):
+            raise ParseError(line_no, "'terminals' must be booleans or numbers equal to 0 or 1")
+        terminals = terminals.astype(bool)
 
     ep_id = rec.get("id")
     if ep_id is None:

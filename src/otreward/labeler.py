@@ -73,6 +73,8 @@ class PostScale:
         object.__setattr__(self, "kind", PostScaleKind(self.kind))
         if not math.isfinite(self.value):
             raise ValueError(f"post-scale value must be finite, got {self.value}")
+        if self.kind is PostScaleKind.RETURN_RANGE and self.value <= 0:
+            raise ValueError(f"return-range target must be > 0, got {self.value}")
 
     @classmethod
     def none(cls) -> "PostScale":
@@ -80,7 +82,7 @@ class PostScale:
 
     @classmethod
     def return_range(cls, target: float = 1000.0) -> "PostScale":
-        """Multiply all rewards by target / (max return - min return)."""
+        """Multiply all rewards by target / (max return - min return); target > 0."""
         return cls(kind=PostScaleKind.RETURN_RANGE, value=target)
 
     @classmethod

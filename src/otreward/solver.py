@@ -7,10 +7,14 @@ Two routes to a coupling between weighted measures:
   matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
   2019): the dual potentials are absorbed into the kernel, and a
   half-step whose kernel sums would underflow runs in the log domain
-  instead, so small eps and large costs stay stable. The iterates are
-  the textbook ones. Every guard is still decided on every iteration, once
-  per block of iterations, and exactly: a minimum does not depend on
-  summation order, and screened gate candidates are re-decided with np.dot.
+  instead, so small eps and large costs stay stable. The kernel holds no
+  subnormals: entries below the smallest normal float are stored as 0,
+  since x86 takes a slow path on subnormal operands and such an entry lies
+  far below the last bit of any kernel sum of at least _KERNEL_SUM_MIN.
+  The iterates are the textbook ones. Every guard is still decided on
+  every iteration, once per block of iterations, and exactly: a minimum
+  does not depend on summation order, and screened gate candidates are
+  re-decided with np.dot.
 
 - ``lp_oracle``: the exact unregularized optimum for small instances,
   solved as the transportation linear program on the bipartite graph
@@ -42,6 +46,12 @@ MARGINAL_SUM_TOL = 1e-9
 MAX_LP_POINTS = 64
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
+# Kernel entries below this, the smallest normal float64, are stored as 0.
+# Not larger: su takes short binary values, so su[i] * G[i, j] can fall on a
+# rounding tie that the FMA-based matvec breaks differently once any nonzero
+# addend precedes it. With a threshold of 1e-280 (or 1e-250, 1e-220), a
+# reward of a squared-Euclidean solve at eps = 0.01 moved by 1 ulp.
+_KERNEL_ENTRY_MIN = np.finfo(np.float64).tiny
 # Sinkhorn iterations run between two evaluations of the guards.
 _BLOCK = 32
 
@@ -138,8 +148,11 @@ def _half_step(K, G, sums, target, pot, other_pot, other_scale):
     stays <= 1 / _KERNEL_SUM_MIN). Then other_scale is absorbed into
     other_pot, pot = log(target) - logsumexp(K + other_pot) is computed in
     the log domain, its exp pass rebuilds G = exp(K + pot + other_pot), and
-    both scalings become ones. Used on (K, G) for rows and (K.T, G.T) for
-    columns; returns (pot, scale, other_pot, other_scale).
+    both scalings become ones. The rebuilt G holds no subnormals: entries
+    below _KERNEL_ENTRY_MIN become 0, as a subnormal operand sends the next
+    matvecs down x86's slow path, and such an entry lies far below the last
+    bit of a kernel sum >= _KERNEL_SUM_MIN. Used on (K, G) for rows and
+    (K.T, G.T) for columns; returns (pot, scale, other_pot, other_scale).
     """
     if sums.min() >= _KERNEL_SUM_MIN:
         return pot, target / sums, other_pot, other_scale
@@ -150,6 +163,7 @@ def _half_step(K, G, sums, target, pot, other_pot, other_scale):
     np.exp(G, out=G)
     sums = G.sum(axis=1)
     G *= (target / sums)[:, None]
+    G[G < _KERNEL_ENTRY_MIN] = 0
     pot = np.log(target) - top - np.log(sums)
     return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
 
@@ -175,6 +189,7 @@ def _sinkhorn_active(
     f, su = -K.max(axis=1), np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
     G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
+    G[G < _KERNEL_ENTRY_MIN] = 0
     SU, RS = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK, len(a)))
     SV, CS = np.empty((_BLOCK + 1, len(b))), np.empty((_BLOCK, len(b)))
     steps = list(zip(SV, RS, SU[1:], CS, SV[1:]))

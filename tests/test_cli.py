@@ -266,6 +266,18 @@ def test_demo_gridworld_config_non_finite_value_is_usage_error(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
+def test_demo_gridworld_config_zero_return_range_is_usage_error(tmp_path, capsys,
+                                                              monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("episodes generated before the config was validated")
+
+    monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
+    path = tmp_path / "zero-range.gridworld"
+    path.write_text(REFERENCE_CONFIG.read_text() + "post_scale = return-range:0\n")
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert "return-range" in capsys.readouterr().err
+
+
 def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
     upath, epath = small_files
     out = tmp_path / "out.jsonl"
@@ -303,10 +315,13 @@ def test_label_unparsable_flag_value_names_its_key(small_files, tmp_path, capsys
                                    ["--beta", "nan"],
                                    ["--alpha", "inf"],
                                    ["--post-scale", "shift:nan"],
-                                   ["--post-scale", "return-range:inf"]],
+                                   ["--post-scale", "return-range:inf"],
+                                   ["--post-scale", "return-range:0"],
+                                   ["--post-scale", "return-range:-5"]],
                          ids=["bad-post-scale", "locomotion-without-action-dim",
                               "negative-parallelism", "nan-beta", "infinite-alpha",
-                              "nan-shift", "infinite-return-range"])
+                              "nan-shift", "infinite-return-range", "zero-return-range",
+                              "negative-return-range"])
 def test_label_checks_flags_before_reading_files(tmp_path, flags):
     missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
     assert main(["label", *missing, *flags]) == 2

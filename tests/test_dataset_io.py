@@ -88,6 +88,26 @@ def test_ragged_observations_name_the_line(tmp_path):
         assert "line 2" in str(exc.value)
 
 
+def test_terminals_accept_booleans_and_zero_one_numbers(tmp_path):
+    path = tmp_path / "terminals.jsonl"
+    for terminals in ("[false, true]", "[0, 1]", "[0.0, 1.0]", "[false, 1]"):
+        path.write_text('{"observations": [[1], [2]], "terminals": %s}\n' % terminals)
+        (episode,) = read_dataset(path).episodes
+        assert episode.terminals.dtype == bool
+        assert episode.terminals.tolist() == [False, True]
+
+
+def test_non_boolean_terminals_name_the_line(tmp_path):
+    path = tmp_path / "terminals.jsonl"
+    for terminals in ('["false", "no"]', "[2, 0]", "[0.5, 0.0]", '["0", "1"]', "[null, true]",
+                      "[NaN, 1]", "[-1, 1]", "[[0], [1]]", "[[0, 1], [1]]"):
+        path.write_text('{"observations": [[0]]}\n'
+                        '{"observations": [[1], [2]], "terminals": %s}\n' % terminals)
+        with pytest.raises(ParseError) as exc:
+            read_dataset(path)
+        assert exc.value.line_number == 2
+
+
 def test_invalid_json_names_the_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"observations": [[1]]}\nnot json\n')

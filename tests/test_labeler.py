@@ -371,6 +371,12 @@ def test_label_config_validation():
             PostScale.shift(bad)
         with pytest.raises(ValueError, match="finite"):
             PostScale.return_range(bad)
+    for bad in (0.0, -5.0):
+        with pytest.raises(ValueError, match="return-range"):
+            PostScale.return_range(bad)
+        with pytest.raises(ValueError, match="return-range"):
+            PostScale.parse(f"return-range:{bad}")
+    assert PostScale.shift(0.0).value == 0.0
     cfg = LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=6)
     assert cfg.squash_exponent() == pytest.approx(5.0 * 1000 / 6)
     assert LabelConfig.antmaze_preset().squash_exponent() == 1000.0

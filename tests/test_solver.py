@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from otreward import CostKind, SinkhornParams, lp_oracle, sinkhorn
-from otreward.solver import _BLOCK, _half_step, _sinkhorn_active
+from otreward.solver import _BLOCK, _KERNEL_SUM_MIN, _half_step, _sinkhorn_active
 from otreward.errors import (
     DimensionMismatch,
     MarginalMismatch,
@@ -191,6 +191,7 @@ def per_iteration_sinkhorn(C, a, b, params):
     f, su = -K.max(axis=1), np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
     G = np.exp(K + f[:, None])
+    G[G < np.finfo(float).tiny] = 0  # as the solver stores subnormal kernel entries
     converged = False
     for it in range(params.max_iterations):
         row_sums = np.dot(G, sv)
@@ -255,6 +256,33 @@ def test_block_screen_matches_per_iteration_loop(instance, params, converges):
     plan, got_iterations, got_converged = _sinkhorn_active(C, a, b, params)
     assert np.array_equal(plan, expected)
     assert (got_iterations, got_converged) == (iterations, converged)
+
+
+def _holds_subnormals(G):
+    return bool(((G > 0) & (G < np.finfo(float).tiny)).any())
+
+
+def test_kernel_holds_no_subnormals(monkeypatch):
+    # Squared-Euclidean costs at d = 14 and eps = 0.01 put C/eps in the
+    # thousands: exp(K + f) underflows to subnormals, and half-steps run in
+    # the log domain, where the kernel is rebuilt.
+    C, a, b = _oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14)
+    params = SinkhornParams(epsilon=0.01, max_iterations=300)
+    K = -C / params.epsilon
+    assert _holds_subnormals(np.exp(K - K.max(axis=1)[:, None]))
+    kernels, rebuilt = [], []
+
+    def recording_half_step(K, G, sums, *rest):
+        kernels.append(G.copy())  # the first holds the first kernel as built
+        out = _half_step(K, G, sums, *rest)
+        if sums.min() < _KERNEL_SUM_MIN:
+            rebuilt.append(G.copy())
+        return out
+
+    monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
+    _sinkhorn_active(C, a, b, params)
+    assert kernels and rebuilt
+    assert not any(_holds_subnormals(G) for G in kernels + rebuilt)
 
 
 def test_deterministic_replay(rng):
