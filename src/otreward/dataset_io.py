@@ -57,21 +57,12 @@ class EpisodicDataset:
 
 
 def _check_consistent_dims(episodes: list[Trajectory]) -> None:
-    obs_dim = None
-    act_dim = None
+    expected: dict[str, int] = {}
     for ep in episodes:
-        if obs_dim is None:
-            obs_dim = ep.obs_dim
-        elif ep.obs_dim != obs_dim:
-            raise DimensionMismatch(
-                f"episode {ep.id!r} has observation dim {ep.obs_dim}, expected {obs_dim}"
-            )
-        if ep.actions is not None:
-            if act_dim is None:
-                act_dim = ep.action_dim
-            elif ep.action_dim != act_dim:
+        for dim, name in ((ep.obs_dim, "observation"), (ep.action_dim, "action")):
+            if dim is not None and expected.setdefault(name, dim) != dim:
                 raise DimensionMismatch(
-                    f"episode {ep.id!r} has action dim {ep.action_dim}, expected {act_dim}"
+                    f"episode {ep.id!r} has {name} dim {dim}, expected {expected[name]}"
                 )
 
 
@@ -81,29 +72,29 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
     if "observations" not in rec:
         raise ParseError(line_no, "record has no 'observations' key")
 
-    def to_array(key, dtype=np.float64):
+    def to_array(key, kinds):
+        # No dtype: a float64 dtype would read "1" as 1.0 and true as 1.0.
+        # Strings, null and integers beyond 64 bits leave a dtype outside kinds.
         try:
-            return np.asarray(rec[key], dtype=dtype)
-        except (TypeError, ValueError) as exc:
+            arr = np.asarray(rec[key])
+        except ValueError as exc:
             raise ParseError(line_no, f"malformed {key!r}: {exc}") from None
+        if arr.dtype.kind not in kinds:
+            raise ParseError(line_no, f"{key!r} must hold numbers, got {arr.dtype} values")
+        return arr
 
-    obs = to_array("observations")
-    if not np.isfinite(obs).all():
-        raise NonFiniteValue(f"line {line_no}: observations contain NaN or infinity")
+    numbers = {key: to_array(key, "iuf").astype(np.float64, copy=False)
+               for key in ("observations", "actions", "rewards")
+               if key == "observations" or rec.get(key) is not None}
+    for key, arr in numbers.items():
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue(f"line {line_no}: {key} contain NaN or infinity")
 
-    actions = rewards = terminals = None
-    if rec.get("actions") is not None:
-        actions = to_array("actions")
-        if not np.isfinite(actions).all():
-            raise NonFiniteValue(f"line {line_no}: actions contain NaN or infinity")
-    if rec.get("rewards") is not None:
-        rewards = to_array("rewards")
-        if not np.isfinite(rewards).all():
-            raise NonFiniteValue(f"line {line_no}: rewards contain NaN or infinity")
+    terminals = None
     if rec.get("terminals") is not None:
-        terminals = to_array("terminals", dtype=None)
+        terminals = to_array("terminals", "biuf")
         # dtype=bool would read every string and nonzero number as True.
-        if terminals.dtype.kind not in "biuf" or not np.all((terminals == 0) | (terminals == 1)):
+        if not np.all((terminals == 0) | (terminals == 1)):
             raise ParseError(line_no, "'terminals' must be booleans or numbers equal to 0 or 1")
         terminals = terminals.astype(bool)
 
@@ -112,9 +103,9 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
         ep_id = f"ep-{index:05d}"
     try:
         return Trajectory(
-            observations=obs,
-            actions=actions,
-            rewards=rewards,
+            observations=numbers["observations"],
+            actions=numbers.get("actions"),
+            rewards=numbers.get("rewards"),
             terminals=terminals,
             id=str(ep_id),
         )

@@ -12,9 +12,9 @@ Two routes to a coupling between weighted measures:
   since x86 takes a slow path on subnormal operands and such an entry lies
   far below the last bit of any kernel sum of at least _KERNEL_SUM_MIN.
   The iterates are the textbook ones. Every guard is still decided on
-  every iteration, once per block of iterations, and exactly: a minimum
-  does not depend on summation order, and screened gate candidates are
-  re-decided with np.dot.
+  every iteration, once per block of iterations: the underflow test
+  exactly, and the stop rule after an L-infinity screen that passes every
+  iteration whose plan could meet the tolerance.
 
 - ``lp_oracle``: the exact unregularized optimum for small instances,
   solved as the transportation linear program on the bipartite graph
@@ -181,8 +181,8 @@ def _sinkhorn_active(
     Blocks of _BLOCK plain updates keep their iterates in rows of SU, RS, CS,
     SV; every guard is then decided for every iteration, in order. The
     underflow test is exact, as a minimum ignores summation order; the
-    einsum gate screen keeps a 1e-9 margin, and np.dot re-decides each
-    candidate. Rows after the first underflow are dropped; its half-steps rerun.
+    L-infinity plan check runs where the matvec row residual is within tol
+    plus slack. Rows after the first underflow are dropped; its half-steps rerun.
     """
     tol = params.marginal_tolerance
     K = -C / params.epsilon
@@ -193,9 +193,12 @@ def _sinkhorn_active(
     SU, RS = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK, len(a)))
     SV, CS = np.empty((_BLOCK + 1, len(b))), np.empty((_BLOCK, len(b)))
     steps = list(zip(SV, RS, SU[1:], CS, SV[1:]))
-    # The matvec residual r only gates the deciding check, on the returned
-    # plan's marginals: sum(r**2) <= n * tol**2 whenever every |r_i| <= tol.
-    gate = len(a) * tol * tol
+    # The matvec and plan row sums reach the row mass su_i * sum_j G_ij sv_j
+    # through len(b) + 1 roundings each, so in any summation order they differ
+    # by at most 2 * len(b) * eps times it (Higham's gamma bound), and a row
+    # that passes the plan check has mass <= a.max() + tol. The factor 2 on top
+    # covers rounding the residuals and tol + slack: no passing plan is skipped.
+    slack = 4 * len(b) * np.finfo(np.float64).eps * (a.max() + tol)
     it = 0
     while it < params.max_iterations:
         k = min(_BLOCK, params.max_iterations - it)
@@ -209,10 +212,9 @@ def _sinkhorn_active(
             low = np.flatnonzero((RS[:k].min(axis=1) < _KERNEL_SUM_MIN)
                                  | (CS[:k].min(axis=1) < _KERNEL_SUM_MIN))
         done = int(low[0]) + 1 if len(low) else k
-        R = SU[:done] * RS[:done] - a
-        for j in np.flatnonzero(np.einsum("ij,ij->i", R, R) <= gate * (1 + 1e-9)):
-            r = SU[j] * RS[j] - a
-            if it + j > 0 and np.dot(r, r) <= gate:
+        R = np.abs(SU[:done] * RS[:done] - a).max(axis=1)
+        for j in np.flatnonzero(R <= tol + slack):
+            if it + j > 0:
                 plan = SU[j][:, None] * G * SV[j]
                 if (np.abs(plan.sum(axis=1) - a).max() <= tol
                         and np.abs(plan.sum(axis=0) - b).max() <= tol):

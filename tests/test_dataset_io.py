@@ -108,6 +108,30 @@ def test_non_boolean_terminals_name_the_line(tmp_path):
         assert exc.value.line_number == 2
 
 
+NUMBER_FIELDS = {"observations": [[1, 2], [3, 4]], "actions": [[0.5], [1.5]], "rewards": [1, 2]}
+
+
+@pytest.mark.parametrize("key", NUMBER_FIELDS)
+@pytest.mark.parametrize("value", ["1", True, 2**70, None],
+                         ids=["string", "boolean", "beyond-64-bits", "null"])
+def test_non_number_values_name_the_line(tmp_path, key, value):
+    path = tmp_path / "values.jsonl"
+    bad = {**NUMBER_FIELDS, key: np.full(np.shape(NUMBER_FIELDS[key]), value).tolist()}
+    path.write_text(f"{json.dumps(NUMBER_FIELDS)}\n{json.dumps(bad)}\n")
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_number == 2
+
+
+def test_null_or_missing_observations_name_the_line(tmp_path):
+    path = tmp_path / "null.jsonl"
+    for record in ('{"observations": null}', '{"rewards": [1.0]}'):
+        path.write_text('{"observations": [[0]]}\n%s\n' % record)
+        with pytest.raises(ParseError) as exc:
+            read_dataset(path)
+        assert exc.value.line_number == 2
+
+
 def test_invalid_json_names_the_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"observations": [[1]]}\nnot json\n')

@@ -185,7 +185,7 @@ def test_iterates_match_textbook_updates(kind, eps, seed):
 
 
 def per_iteration_sinkhorn(C, a, b, params):
-    """Reference: the solver loop with every guard checked inside each iteration."""
+    """Reference: the solver loop with the plan check made on every iteration."""
     tol = params.marginal_tolerance
     K = -C / params.epsilon
     f, su = -K.max(axis=1), np.ones(len(a))
@@ -195,8 +195,7 @@ def per_iteration_sinkhorn(C, a, b, params):
     converged = False
     for it in range(params.max_iterations):
         row_sums = np.dot(G, sv)
-        r = su * row_sums - a
-        if it > 0 and np.dot(r, r) <= len(a) * tol * tol:
+        if it > 0:
             plan = su[:, None] * G * sv
             if (np.abs(plan.sum(axis=1) - a).max() <= tol
                     and np.abs(plan.sum(axis=0) - b).max() <= tol):
@@ -217,9 +216,10 @@ def _oracle_instance(seed, kind, dim, max_rows=65):
 
 # (instance, params, reference converges?). The squared-Euclidean and
 # eps = 0.001 instances send half-steps to the log domain mid-block; the
-# 1x1 instance passes the gate at iteration 0, which never decides; the
-# tolerance-1e-20 instance reaches a bitwise fixpoint that passes the gate
-# on many iterations without passing the explicit check.
+# 1x1 instance passes the screen at iteration 0, which never decides; the
+# tolerance-1e-20 instance reaches a bitwise fixpoint that passes the screen
+# on many iterations without passing the explicit check; at 300x300 the
+# row RMS falls below tol long before the largest row residual does.
 BLOCK_ORACLE_CASES = [
     pytest.param(_oracle_instance(seed, CostKind.COSINE, 3),
                  SinkhornParams(epsilon=eps), True, id=f"demo-{eps}-{seed}")
@@ -233,6 +233,8 @@ BLOCK_ORACLE_CASES = [
 ] + [
     pytest.param(random_cost_instance(np.random.default_rng(7), 100, 100, dim=8),
                  SinkhornParams(), False, id="capped-100x100"),
+    pytest.param(random_cost_instance(np.random.default_rng(7), 300, 300, dim=17),
+                 SinkhornParams(), False, id="capped-300x300"),
     pytest.param((np.array([[0.7]]), np.ones(1), np.ones(1)), SinkhornParams(), True,
                  id="one-by-one"),
     pytest.param(_oracle_instance(300, CostKind.COSINE, 4, max_rows=19),
@@ -256,6 +258,31 @@ def test_block_screen_matches_per_iteration_loop(instance, params, converges):
     plan, got_iterations, got_converged = _sinkhorn_active(C, a, b, params)
     assert np.array_equal(plan, expected)
     assert (got_iterations, got_converged) == (iterations, converged)
+
+
+class _CountingNumpy:
+    """numpy, counting calls of abs on 1-D arrays: the solver's plan marginal checks."""
+
+    def __init__(self):
+        self.plan_checks = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x, *args, **kwargs):
+        self.plan_checks += np.ndim(x) == 1
+        return np.abs(x, *args, **kwargs)
+
+
+def test_screen_builds_no_plan_that_cannot_pass(monkeypatch):
+    # At 300x300 the row RMS sits below tol for about 400 iterations before
+    # the largest row residual does; a screen on it would build a plan on each.
+    C, a, b = random_cost_instance(np.random.default_rng(7), 300, 300, dim=17)
+    counting = _CountingNumpy()
+    monkeypatch.setattr("otreward.solver.np", counting)
+    _, iterations, converged = _sinkhorn_active(C, a, b, SinkhornParams(epsilon=0.01))
+    assert (iterations, converged) == (1000, False)
+    assert counting.plan_checks == 0
 
 
 def _holds_subnormals(G):
