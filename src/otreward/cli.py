@@ -63,22 +63,31 @@ def cmd_label(args: argparse.Namespace) -> int:
 def cmd_select_experts(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.dataset)
     selected = select_top_k_experts(dataset, args.k)
-    if "warning" in selected.metadata:
-        print(f"warning: {selected.metadata['warning']}", file=sys.stderr)
+    if len(selected) < args.k:
+        print(f"warning: requested k={args.k} experts but dataset has only "
+              f"{len(dataset)} episodes", file=sys.stderr)
     write_dataset(args.out, selected)
     print(f"selected {len(selected)} of {len(dataset)} episodes")
     return EXIT_OK
 
 
+def _episodes_by_id(dataset, path) -> dict:
+    """Episodes keyed by id, in file order; a repeated id raises IdMismatch."""
+    by_id = {}
+    for ep in dataset.episodes:
+        if by_id.setdefault(ep.id, ep) is not ep:
+            raise errors.IdMismatch(f"episode id {ep.id!r} appears more than once in {path}")
+    return by_id
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     labeled = read_dataset(args.labeled)
-    truth = read_dataset(args.truth)
-    truth_by_id = {ep.id: ep for ep in truth.episodes}
+    truth_by_id = _episodes_by_id(read_dataset(args.truth), args.truth)
 
     rows = []
     labeled_returns = []
     truth_returns = []
-    for ep in labeled.episodes:
+    for ep in _episodes_by_id(labeled, args.labeled).values():
         if ep.id not in truth_by_id:
             raise errors.IdMismatch(f"episode {ep.id!r} not present in {args.truth}")
         truth_ep = truth_by_id[ep.id]

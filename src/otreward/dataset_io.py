@@ -1,11 +1,12 @@
-"""Reading and writing episodic datasets.
+"""Reading and writing episodic datasets and the diagnose table.
 
 Files are newline-delimited records, one JSON object per episode, with
 keys ``observations`` (list of lists of numbers), optional ``actions``,
 ``rewards``, ``terminals`` (booleans, or numbers equal to 0 or 1) and
-``id``. Numbers are serialized with full round-trip precision. Labeled
-outputs populate ``rewards`` with the computed labels and add a
-``source_expert`` field.
+``id`` (``ep-00000``, ``ep-00001``, ... in record order when absent).
+Numbers are serialized with full round-trip precision. Labeled outputs
+populate ``rewards`` with the computed labels and add a ``source_expert``
+field.
 
 All writes go to a temporary file that is renamed into place on success,
 so a failed run never leaves a partial output behind.
@@ -39,14 +40,13 @@ DIAGNOSTICS_HEADER = ["episode_id", "ground_truth_return", "otr_return", "source
 
 @dataclass
 class EpisodicDataset:
-    """A list of episodes plus free-form string metadata.
+    """A list of episodes that agree on observation and action dims.
 
     source_experts holds each record's ``source_expert`` value by episode
     id, None where a record has none, as read_dataset found them.
     """
 
     episodes: list[Trajectory]
-    metadata: dict[str, str] = field(default_factory=dict)
     source_experts: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,7 +190,7 @@ def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
     """Pick the k episodes with the largest episodic return, descending.
 
     Ties keep the earlier-indexed episode first. Asking for more episodes
-    than exist returns them all and records a warning in the metadata.
+    than exist returns them all.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -199,15 +199,7 @@ def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
             raise RewardsMissing(f"episode {ep.id!r} has no rewards")
     returns = [ep.episodic_return() for ep in dataset.episodes]
     order = sorted(range(len(returns)), key=lambda i: (-returns[i], i))
-    metadata = dict(dataset.metadata)
-    if k > len(order):
-        metadata["warning"] = (
-            f"requested k={k} experts but dataset has only {len(order)} episodes"
-        )
-        k = len(order)
-    return EpisodicDataset(
-        episodes=[dataset.episodes[i] for i in order[:k]], metadata=metadata
-    )
+    return EpisodicDataset(episodes=[dataset.episodes[i] for i in order[:k]])
 
 
 def write_diagnostics(path: str | os.PathLike, rows: list[tuple]) -> None:

@@ -3,8 +3,9 @@
 Stands in for a full offline RL stack at a size where ground truth is
 computable: generate a mixed-quality episodic dataset, label it, run
 tabular Q-iteration restricted to dataset support, and roll out the greedy
-policy. The goal transition pays 1, everything else 0, so an episode's
-true return is simply whether it reached the goal.
+policy. A move into the goal pays Gridworld.goal_reward (default 1) and
+every other move pays Gridworld.step_reward (default 0); with the defaults,
+an episode's true return is whether it reached the goal.
 
 Rewards are attached per state: rewards[t] belongs to the transition
 (s_t, a_t, s_{t+1}); the final entry has no outgoing transition and is 0.
@@ -12,7 +13,6 @@ Rewards are attached per state: rewards[t] belongs to the transition
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
@@ -99,10 +99,14 @@ class Gridworld:
         y = cell[1] / (self.height - 1) if self.height > 1 else 0.0
         return np.array([x, y, 1.0])
 
-    def decode_cell(self, obs: np.ndarray) -> tuple[int, int]:
-        x = int(round(float(obs[0]) * (self.width - 1))) if self.width > 1 else 0
-        y = int(round(float(obs[1]) * (self.height - 1))) if self.height > 1 else 0
-        return (x, y)
+    def state(self, cell):
+        """Index x * height + y of cell (x, y); elementwise for arrays of x and y."""
+        return cell[0] * self.height + cell[1]
+
+    def decode_states(self, observations: np.ndarray) -> np.ndarray:
+        """State of the cell behind each observation row; inverts observation."""
+        scale = (self.width - 1, self.height - 1)
+        return self.state(np.rint(observations[:, :2] * scale).astype(np.int64).T)
 
     def shortest_path_action(self, cell: tuple[int, int]) -> int:
         """Move toward the goal, horizontal before vertical."""
@@ -111,12 +115,9 @@ class Gridworld:
         return 2 if self.goal[1] > cell[1] else 3
 
 
-def _cell_rewards(env: Gridworld, cells: list[tuple[int, int]]) -> np.ndarray:
-    """rewards[t] pays for the move into cells[t + 1]; the last entry is 0."""
-    rewards = np.zeros(len(cells))
-    for t in range(len(cells) - 1):
-        rewards[t] = env.goal_reward if cells[t + 1] == env.goal else env.step_reward
-    return rewards
+def _move_rewards(env: Gridworld, at_goal: np.ndarray) -> np.ndarray:
+    """rewards[t] is goal_reward if step t + 1 is at the goal, else step_reward; the last is 0."""
+    return np.append(np.where(at_goal[1:], env.goal_reward, env.step_reward), 0.0)
 
 
 Policy = Callable[[tuple[int, int]], int | None]
@@ -147,18 +148,19 @@ def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
         actions.append(action)
         cell = env.step(cell, action)
         cells.append(cell)
+    at_goal = np.array([c == env.goal for c in cells])
     return Trajectory(
         observations=np.array([env.observation(c) for c in cells]),
         actions=np.array([[float(a)] for a in actions]) if actions else np.zeros((0, 1)),
-        rewards=_cell_rewards(env, cells),
-        terminals=np.array([c == env.goal for c in cells]),
+        rewards=_move_rewards(env, at_goal),
+        terminals=at_goal,
         id=ep_id,
     )
 
 
 def ground_truth_rewards(env: Gridworld, traj: Trajectory) -> np.ndarray:
     """Recompute the environment rewards of an episode from its states."""
-    return _cell_rewards(env, [env.decode_cell(o) for o in traj.observations])
+    return _move_rewards(env, env.decode_states(traj.observations) == env.state(env.goal))
 
 
 def generate_dataset(
@@ -167,9 +169,8 @@ def generate_dataset(
     """Roll out expert, noisy-expert and uniform-random episodes.
 
     Returns (experts, unlabeled). Expert episodes keep their ground-truth
-    rewards; the unlabeled set has rewards stripped, with each episode's
-    true return stashed in the metadata under ``true_returns`` for
-    diagnostics. Identical seeds produce identical datasets.
+    rewards; the unlabeled set has rewards stripped (ground_truth_rewards
+    recomputes them). Identical seeds produce identical datasets.
     """
     if n_expert < 1:
         raise InvalidCounts(f"need at least one expert episode, got {n_expert}")
@@ -181,47 +182,42 @@ def generate_dataset(
     medium, random_walk = _eps_greedy(env, rng, MEDIUM_EPSILON), _eps_greedy(env, rng, 1.0)
     mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
     mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
-
-    true_returns = {ep.id: ep.episodic_return() for ep in mixed}
-    stripped = [replace(ep, rewards=None) for ep in mixed]
-    expert_ds = EpisodicDataset(episodes=experts, metadata={"split": "expert"})
-    unlabeled_ds = EpisodicDataset(
-        episodes=stripped,
-        metadata={"split": "unlabeled", "true_returns": json.dumps(true_returns)},
-    )
-    return expert_ds, unlabeled_ds
+    return (EpisodicDataset(episodes=experts),
+            EpisodicDataset(episodes=[replace(ep, rewards=None) for ep in mixed]))
 
 
 @dataclass
 class TabularQ:
-    """State-action values for the (cell, action) pairs the dataset took."""
+    """Q-values indexed [x, y, action], NaN where the dataset never took the action."""
 
-    values: dict[tuple[tuple[int, int], int], float]
+    values: np.ndarray
     trained_sweeps: int
 
     def value(self, cell: tuple[int, int], action: int) -> float:
-        return self.values[(cell, action)]
+        return float(self.values[cell][action])
 
     def greedy_action(self, cell: tuple[int, int]) -> int | None:
         """Best action the dataset took at cell, first on ties; None if none."""
-        seen = [a for a in range(N_ACTIONS) if (cell, a) in self.values]
-        return max(seen, key=lambda a: self.values[(cell, a)], default=None)
+        q = self.values[cell]
+        return None if np.isnan(q).all() else int(np.nanargmax(q))
 
 
 def _decode_transitions(env: Gridworld, dataset: list[LabeledTrajectory]):
-    """(S, A, R, SN) over every stored move; cell (x, y) is state x * height + y."""
-    S, A, R, SN = [], [], [], []
+    """(S, A, R, SN) over every stored move, states numbered by Gridworld.state."""
+    moves = []
     for lt in dataset:
-        traj = lt.base
-        states = [x * env.height + y for x, y in map(env.decode_cell, traj.observations)]
-        n_moves = 0 if traj.actions is None else traj.actions.shape[0]
-        for t in range(min(n_moves, len(states) - 1)):
-            S.append(states[t])
-            A.append(int(round(float(traj.actions[t][0]))))
-            R.append(float(lt.ot_rewards[t]))
-            SN.append(states[t + 1])
-    S, A, SN = (np.array(xs, dtype=np.int64) for xs in (S, A, SN))
-    return S, A, np.array(R), SN
+        obs, actions = lt.base.observations, lt.base.actions
+        n = 0 if actions is None else min(len(actions), len(obs) - 1)
+        if n:
+            states = env.decode_states(obs[: n + 1])
+            moves.append((states[:-1], np.rint(actions[:n, 0]).astype(np.int64),
+                          lt.ot_rewards[:n], states[1:]))
+    if not moves:
+        raise EmptyDataset("no transitions to fit on")
+    S, A, R, SN = (np.concatenate(xs) for xs in zip(*moves))
+    if A.min() < 0 or A.max() >= N_ACTIONS:  # S * N_ACTIONS + A would alias another pair
+        raise ValueError(f"actions must round to 0..{N_ACTIONS - 1}")
+    return S, A, R, SN
 
 
 def fit_offline_q(
@@ -238,32 +234,26 @@ def fit_offline_q(
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     S, A, R, SN = _decode_transitions(env, dataset)
-    if len(S) == 0:
-        raise EmptyDataset("no transitions to fit on")
-    seen = np.zeros((env.width * env.height, N_ACTIONS), dtype=bool)
-    seen[S, A] = True
-    any_seen = seen.any(axis=1)
+    shape = (env.width * env.height, N_ACTIONS)
     pair = S * N_ACTIONS + A
-    upairs, inv = np.unique(pair, return_inverse=True)
-    counts = np.bincount(inv).astype(np.float64)
-    goal_state = env.goal[0] * env.height + env.goal[1]
-    gamma = env.discount
+    counts = np.bincount(pair, minlength=shape[0] * N_ACTIONS).reshape(shape)
+    seen = counts > 0
+    any_seen = seen.any(axis=1)
+    bootstraps = SN != env.state(env.goal)
 
-    Q = np.zeros(seen.shape)
+    Q = np.zeros(shape)
     for sweep in range(1, sweeps + 1):
-        masked = np.where(seen, Q, -np.inf)
-        V = masked.max(axis=1)
+        V = np.where(seen, Q, -np.inf).max(axis=1)
         V[~any_seen] = 0.0
-        targets = R + gamma * np.where(SN == goal_state, 0.0, V[SN])
-        sums = np.bincount(inv, weights=targets, minlength=len(upairs))
-        new_values = sums / counts
-        delta = float(np.abs(new_values - Q[upairs // N_ACTIONS, upairs % N_ACTIONS]).max())
-        Q[upairs // N_ACTIONS, upairs % N_ACTIONS] = new_values
+        targets = R + env.discount * np.where(bootstraps, V[SN], 0.0)
+        sums = np.bincount(pair, weights=targets, minlength=counts.size).reshape(shape)
+        new_Q = np.divide(sums, counts, out=np.zeros(shape), where=seen)
+        delta = float(np.abs(new_Q - Q).max())
+        Q = new_Q
         if delta < Q_CONVERGENCE_TOL:
             break
 
-    values = {(divmod(int(s), env.height), int(a)): float(Q[s, a])
-              for s, a in zip(*np.nonzero(seen))}
+    values = np.where(seen, Q, np.nan).reshape(env.width, env.height, N_ACTIONS)
     return TabularQ(values=values, trained_sweeps=sweep)
 
 
@@ -370,8 +360,9 @@ def load_harness_config(path) -> HarnessConfig:
 
     The accepted keys are those of ``_ENV_KEYS`` (the Gridworld), the run
     keys of ``_RUN_KEYS`` and the label settings of ``labeler.LABEL_KEYS``.
-    A missing required Gridworld key, an unknown key or an unparsable value
-    raises ValueError; every other missing key keeps its default.
+    A missing required Gridworld key, an unknown or repeated key or an
+    unparsable value raises ValueError; every other missing key keeps its
+    default.
     """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -381,8 +372,10 @@ def load_harness_config(path) -> HarnessConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}; expected key = value")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in raw:
+                raise ValueError(f"{path}: key {key!r} set more than once")
+            raw[key] = value
 
     missing = [f.name for f in fields(Gridworld) if f.default is MISSING and f.name not in raw]
     if missing:

@@ -44,6 +44,8 @@ from .errors import (
 
 MARGINAL_SUM_TOL = 1e-9
 MAX_LP_POINTS = 64
+# LP flows at or below this are solver noise, not part of the optimal support.
+_SUPPORT_TOL = 1e-11
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
 # Kernel entries below this, the smallest normal float64, are stored as 0.
@@ -243,9 +245,7 @@ def sinkhorn(
     return _solve_on_support(cost, a, b, partial(_sinkhorn_active, params=params))
 
 
-def _refine_support_flows(
-    plan: np.ndarray, a: np.ndarray, b: np.ndarray, support_tol: float = 1e-11
-) -> np.ndarray:
+def _refine_support_flows(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Recompute flows exactly from the optimal support by leaf elimination.
 
     A basic optimal solution's support is a forest on the bipartite graph,
@@ -254,7 +254,7 @@ def _refine_support_flows(
     optimum gets flows exactly equal to the marginal weights. Falls back to
     the raw plan if the support contains a cycle (non-vertex solution).
     """
-    support = plan > support_tol
+    support = plan > _SUPPORT_TOL
     out = np.zeros_like(plan)
     ra = a.astype(np.float64).copy()
     rb = b.astype(np.float64).copy()

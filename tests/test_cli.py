@@ -193,6 +193,25 @@ def test_diagnose_id_mismatch(tmp_path, rng, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("labeled_ids, truth_ids, message", [
+    (["a", "b"], ["a"], "'b' not present"),
+    (["a", "a"], ["a"], "'a' appears more than once in .*l.jsonl"),
+    (["a"], ["a", "a"], "'a' appears more than once in .*t.jsonl"),
+], ids=["missing", "repeated-labeled", "repeated-truth"])
+def test_diagnose_unpaired_ids_are_id_mismatch(tmp_path, capsys, labeled_ids, truth_ids,
+                                                message):
+    for name, ids in (("l.jsonl", labeled_ids), ("t.jsonl", truth_ids)):
+        (tmp_path / name).write_text("".join(
+            json.dumps({"id": ep_id, "observations": [[float(i)]], "rewards": [float(i)]}) + "\n"
+            for i, ep_id in enumerate(ids)))
+    out = tmp_path / "d.csv"
+    assert main(["diagnose", str(tmp_path / "l.jsonl"), str(tmp_path / "t.jsonl"),
+                 str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert not out.exists()
+
+
 def test_demo_gridworld_truth_small(tmp_path, capsys):
     from dataclasses import replace
 
@@ -224,6 +243,14 @@ def test_demo_gridworld_bad_config(tmp_path, capsys):
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.gridworld"
 
 
+def reference_config_with(tmp_path, key, value):
+    """The reference config file with the line of key set to value."""
+    path = tmp_path / "demo.gridworld"
+    path.write_text("".join(f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
+                            for line in REFERENCE_CONFIG.read_text().splitlines(True)))
+    return path
+
+
 def test_demo_gridworld_config_missing_key(tmp_path, capsys):
     path = tmp_path / "no-width.gridworld"
     path.write_text("".join(line for line in REFERENCE_CONFIG.read_text().splitlines(True)
@@ -237,6 +264,13 @@ def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
     path.write_text(REFERENCE_CONFIG.read_text() + "epsilom = 0.1\n")
     assert main(["demo-gridworld", "--config", str(path)]) == 2
     assert "epsilom" in capsys.readouterr().err
+
+
+def test_demo_gridworld_config_repeated_key(tmp_path, capsys):
+    path = tmp_path / "twice.gridworld"
+    path.write_text("seed = 1\n" + REFERENCE_CONFIG.read_text())
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert "'seed' set more than once" in capsys.readouterr().err
 
 
 def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -260,8 +294,7 @@ def test_demo_gridworld_config_non_finite_value_is_usage_error(tmp_path, capsys,
         raise AssertionError("episodes generated before the config was validated")
 
     monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
-    path = tmp_path / "non-finite.gridworld"
-    path.write_text(REFERENCE_CONFIG.read_text() + f"{key} = {value}\n")
+    path = reference_config_with(tmp_path, key, value)
     assert main(["demo-gridworld", "--config", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
 
@@ -272,8 +305,7 @@ def test_demo_gridworld_config_zero_return_range_is_usage_error(tmp_path, capsys
         raise AssertionError("episodes generated before the config was validated")
 
     monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
-    path = tmp_path / "zero-range.gridworld"
-    path.write_text(REFERENCE_CONFIG.read_text() + "post_scale = return-range:0\n")
+    path = reference_config_with(tmp_path, "post_scale", "return-range:0")
     assert main(["demo-gridworld", "--config", str(path)]) == 2
     assert "return-range" in capsys.readouterr().err
 
@@ -290,9 +322,7 @@ def test_label_bad_post_scale_is_usage_error(small_files, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("epsilon", "abc"), ("width", "x")])
 def test_demo_gridworld_config_unparsable_value_names_its_key(tmp_path, capsys, key, value):
-    path = tmp_path / "bad-value.gridworld"
-    path.write_text("".join(f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
-                            for line in REFERENCE_CONFIG.read_text().splitlines(True)))
+    path = reference_config_with(tmp_path, key, value)
     assert main(["demo-gridworld", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err

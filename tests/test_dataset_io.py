@@ -219,11 +219,10 @@ def test_select_tie_prefers_earlier(rng):
     assert picked.episodes[0].id == "ep0"
 
 
-def test_select_k_larger_than_dataset_warns(rng):
+def test_select_k_larger_than_dataset_returns_all(rng):
     ds = _with_returns([1.0, 2.0], rng)
     picked = select_top_k_experts(ds, 5)
-    assert len(picked) == 2
-    assert "warning" in picked.metadata
+    assert [ep.id for ep in picked.episodes] == ["ep1", "ep0"]
 
 
 def test_select_requires_rewards(rng):
