@@ -97,7 +97,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise errors.RewardsMissing(f"episode {ep.id!r} has no rewards in labeled file")
         t_ret = truth_ep.episodic_return()
         l_ret = ep.episodic_return()
-        rows.append((ep.id, repr(t_ret), repr(l_ret), labeled.source_experts.get(ep.id)))
+        rows.append((ep.id, repr(t_ret), repr(l_ret), ep.source_expert))
         truth_returns.append(t_ret)
         labeled_returns.append(l_ret)
 

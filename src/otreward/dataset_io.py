@@ -2,11 +2,14 @@
 
 Files are newline-delimited records, one JSON object per episode, with
 keys ``observations`` (list of lists of numbers), optional ``actions``,
-``rewards``, ``terminals`` (booleans, or numbers equal to 0 or 1) and
-``id`` (``ep-00000``, ``ep-00001``, ... in record order when absent).
-Numbers are serialized with full round-trip precision. Labeled outputs
-populate ``rewards`` with the computed labels and add a ``source_expert``
-field.
+``rewards``, ``terminals`` (booleans, or numbers equal to 0 or 1), ``id``
+(``ep-00000``, ``ep-00001``, ... in record order when absent) and
+``source_expert`` (null or a non-negative integer: the demonstration the
+rewards were labeled against). Every reader and writer keeps
+``source_expert``; keys outside this schema are ignored on read and not
+written back. Numbers are serialized with full round-trip precision.
+Labeled outputs hold the computed labels in ``rewards`` and this run's
+match in ``source_expert``.
 
 All writes go to a temporary file that is renamed into place on success,
 so a failed run never leaves a partial output behind.
@@ -20,7 +23,7 @@ import math
 import os
 import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TextIO
 
 import numpy as np
@@ -40,14 +43,9 @@ DIAGNOSTICS_HEADER = ["episode_id", "ground_truth_return", "otr_return", "source
 
 @dataclass
 class EpisodicDataset:
-    """A list of episodes that agree on observation and action dims.
-
-    source_experts holds each record's ``source_expert`` value by episode
-    id, None where a record has none, as read_dataset found them.
-    """
+    """A list of episodes that agree on observation and action dims."""
 
     episodes: list[Trajectory]
-    source_experts: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_consistent_dims(self.episodes)
@@ -98,6 +96,11 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
             raise ParseError(line_no, "'terminals' must be booleans or numbers equal to 0 or 1")
         terminals = terminals.astype(bool)
 
+    source = rec.get("source_expert")
+    # bool is a subclass of int, so isinstance would let true through.
+    if source is not None and (type(source) is not int or source < 0):
+        raise ParseError(line_no, "'source_expert' must be null or a non-negative integer")
+
     ep_id = rec.get("id")
     if ep_id is None:
         ep_id = f"ep-{index:05d}"
@@ -108,6 +111,7 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
             rewards=numbers.get("rewards"),
             terminals=terminals,
             id=str(ep_id),
+            source_expert=source,
         )
     except DimensionMismatch as exc:
         raise ParseError(line_no, str(exc)) from None
@@ -121,7 +125,6 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
     disagree on feature dimensions.
     """
     episodes: list[Trajectory] = []
-    sources: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -130,10 +133,8 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
-            episode = _parse_record(rec, line_no, len(episodes))
-            episodes.append(episode)
-            sources[episode.id] = rec.get("source_expert")
-    return EpisodicDataset(episodes=episodes, source_experts=sources)
+            episodes.append(_parse_record(rec, line_no, len(episodes)))
+    return EpisodicDataset(episodes=episodes)
 
 
 def _atomic_write(path: str | os.PathLike, write: Callable[[TextIO], object]) -> None:
@@ -167,6 +168,8 @@ def _traj_record(ep: Trajectory) -> dict:
         rec["rewards"] = ep.rewards.tolist()
     if ep.terminals is not None:
         rec["terminals"] = ep.terminals.tolist()
+    if ep.source_expert is not None:
+        rec["source_expert"] = ep.source_expert
     return rec
 
 
@@ -176,14 +179,10 @@ def write_dataset(path: str | os.PathLike, dataset: EpisodicDataset) -> None:
 
 
 def write_labeled(path: str | os.PathLike, dataset: list[LabeledTrajectory]) -> None:
-    """Write labeled episodes: rewards hold the labels, source_expert added."""
-    lines = []
-    for lt in dataset:
-        rec = _traj_record(lt.base)
-        rec["rewards"] = lt.ot_rewards.tolist()
-        rec["source_expert"] = lt.source_expert
-        lines.append(json.dumps(rec))
-    _write_lines(path, lines)
+    """Write labeled episodes: rewards hold the labels, source_expert this run's match."""
+    write_dataset(path, EpisodicDataset(episodes=[
+        replace(lt.base, rewards=lt.ot_rewards, source_expert=lt.source_expert)
+        for lt in dataset]))
 
 
 def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:

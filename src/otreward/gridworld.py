@@ -20,21 +20,18 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .costs import CostKind
 from .dataset_io import EpisodicDataset, return_correlations
 from .errors import EmptyDataset, InvalidCounts
 from .labeler import (
     LabelConfig,
     LabeledTrajectory,
     PostScale,
-    ScaleMode,
     label_dataset,
     parse_setting,
     uds_rewards,
     uniform_plan_rewards,
 )
-from .measures import FeatureMode, Trajectory
-from .solver import SinkhornParams
+from .measures import Trajectory
 
 # Fixed action order; greedy ties resolve to the first maximizer.
 ACTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # right, left, up, down
@@ -296,24 +293,13 @@ def reference_config() -> HarnessConfig:
     The squash exponent and downward shift are sized to this grid's cost
     scale: shifting every squashed reward below zero makes lingering
     strictly unprofitable, so the greedy policy heads for the terminal
-    goal along the least-costly (most expert-like) corridor.
+    goal along the least-costly (most expert-like) corridor. Every other
+    setting is its dataclass default; configs/reference.gridworld spells
+    them all out.
     """
     return HarnessConfig(
         env=Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7)),
-        n_expert=1,
-        n_medium=20,
-        n_random=80,
-        seed=7,
-        label=LabelConfig(
-            cost=CostKind.COSINE,
-            features=FeatureMode.STATE,
-            sinkhorn=SinkhornParams(epsilon=0.01, max_iterations=1000),
-            squash_alpha=5.0,
-            squash_beta=512.0,
-            squash_scale=ScaleMode.PLAIN,
-            post_scale=PostScale.shift(-16.0),
-        ),
-        sweeps=4000,
+        label=LabelConfig(squash_beta=512.0, post_scale=PostScale.shift(-16.0)),
     )
 
 

@@ -8,7 +8,7 @@ changing the transport problem it defines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,8 @@ class Trajectory:
 
     observations has shape (T, d) with T >= 1. actions, when present, has
     shape (T, d_a) or (T - 1, d_a); rewards and terminals, when present,
-    have length T (one entry per step).
+    have length T (one entry per step). source_expert is the index of the
+    demonstration the rewards were labeled against, None when unknown.
     """
 
     observations: np.ndarray
@@ -39,6 +40,7 @@ class Trajectory:
     rewards: np.ndarray | None = None
     terminals: np.ndarray | None = None
     id: str = ""
+    source_expert: int | None = None
 
     def __post_init__(self):
         obs = np.asarray(self.observations, dtype=np.float64)

@@ -377,6 +377,21 @@ def test_diagnose_source_expert_column(tmp_path, rng, capsys):
     assert out.read_text().splitlines()[1:] == ["a,1.0,0.5,2", "b,2.0,1.5,"]
 
 
+def test_select_experts_keeps_source_expert(tmp_path):
+    records = [{"id": f"e{i}", "observations": [[float(i)]], "rewards": [ret],
+                "source_expert": source}
+               for i, (ret, source) in enumerate([(1.0, 1), (5.0, 0), (3.0, 2), (4.0, None)])]
+    labeled, selected, out = tmp_path / "l.jsonl", tmp_path / "s.jsonl", tmp_path / "diag.csv"
+    labeled.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["select-experts", str(labeled), str(selected), "--k", "3"]) == 0
+    picked = [json.loads(line) for line in selected.read_text().splitlines()]
+    assert [(r["id"], r.get("source_expert")) for r in picked] == [
+        ("e1", 0), ("e3", None), ("e2", 2)]
+    assert "source_expert" not in picked[1]
+    assert main(["diagnose", str(selected), str(labeled), str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["e1,5.0,5.0,0", "e3,4.0,4.0,", "e2,3.0,3.0,2"]
+
+
 def _error_classes(cls=errors.OtRewardError):
     for sub in cls.__subclasses__():
         yield sub

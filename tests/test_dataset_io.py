@@ -123,6 +123,19 @@ def test_non_number_values_name_the_line(tmp_path, key, value):
     assert exc.value.line_number == 2
 
 
+@pytest.mark.parametrize("value", ["true", "false", "1.0", "0.5", '"x"', '"1"', "-3", "[1]"],
+                         ids=["true", "false", "float", "fraction", "string", "digit-string",
+                              "negative", "list"])
+def test_bad_source_expert_names_the_line(tmp_path, value):
+    path = tmp_path / "sources.jsonl"
+    path.write_text('{"observations": [[0]], "source_expert": 0}\n'
+                    '{"observations": [[1]], "source_expert": %s}\n' % value)
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_number == 2
+    assert "source_expert" in str(exc.value)
+
+
 def test_null_or_missing_observations_name_the_line(tmp_path):
     path = tmp_path / "null.jsonl"
     for record in ('{"observations": null}', '{"rewards": [1.0]}'):
@@ -171,6 +184,10 @@ def test_labeled_round_trip_bit_exact(rng, tmp_path):
     assert np.array_equal(loaded.episodes[0].rewards, rewards)
     rec = json.loads(path.read_text().splitlines()[0])
     assert rec["source_expert"] == 3
+    assert loaded.episodes[0].source_expert == 3
+    write_dataset(path, loaded)
+    assert read_dataset(path).episodes[0].source_expert == 3
+    assert json.loads(path.read_text())["source_expert"] == 3
 
 
 def test_write_labeled_order_and_count(rng, tmp_path):
