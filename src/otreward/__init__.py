@@ -20,7 +20,6 @@ from .gridworld import (
     load_harness_config,
     reference_config,
     run_demo,
-    save_harness_config,
 )
 from .labeler import (
     LabelConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "read_dataset",
     "reference_config",
     "run_demo",
-    "save_harness_config",
     "select_top_k_experts",
     "sinkhorn",
     "squared_euclidean_cost",

@@ -3,11 +3,11 @@
 Files are newline-delimited records, one JSON object per episode, with
 keys ``observations`` (list of lists of numbers), optional ``actions``,
 ``rewards``, ``terminals`` (booleans, or numbers equal to 0 or 1), ``id``
-(``ep-00000``, ``ep-00001``, ... in record order when absent) and
-``source_expert`` (null or a non-negative integer: the demonstration the
-rewards were labeled against). Every reader and writer keeps
-``source_expert``; keys outside this schema are ignored on read and not
-written back. Numbers are serialized with full round-trip precision.
+(a string; ``ep-00000``, ``ep-00001``, ... in record order when absent or
+null) and ``source_expert`` (null or a non-negative integer: the
+demonstration the rewards were labeled against). Every reader and writer
+keeps ``source_expert``; keys outside this schema are ignored on read and
+not written back. Numbers are serialized with full round-trip precision.
 Labeled outputs hold the computed labels in ``rewards`` and this run's
 match in ``source_expert``.
 
@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     NonFiniteValue,
     ParseError,
-    RewardsMissing,
 )
 from .labeler import LabeledTrajectory
 from .measures import Trajectory
@@ -104,13 +103,15 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
     ep_id = rec.get("id")
     if ep_id is None:
         ep_id = f"ep-{index:05d}"
+    elif type(ep_id) is not str:
+        raise ParseError(line_no, "'id' must be a string")
     try:
         return Trajectory(
             observations=numbers["observations"],
             actions=numbers.get("actions"),
             rewards=numbers.get("rewards"),
             terminals=terminals,
-            id=str(ep_id),
+            id=ep_id,
             source_expert=source,
         )
     except DimensionMismatch as exc:
@@ -189,13 +190,10 @@ def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
     """Pick the k episodes with the largest episodic return, descending.
 
     Ties keep the earlier-indexed episode first. Asking for more episodes
-    than exist returns them all.
+    than exist returns them all. Missing rewards raise RewardsMissing.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    for ep in dataset.episodes:
-        if ep.rewards is None:
-            raise RewardsMissing(f"episode {ep.id!r} has no rewards")
     returns = [ep.episodic_return() for ep in dataset.episodes]
     order = sorted(range(len(returns)), key=lambda i: (-returns[i], i))
     return EpisodicDataset(episodes=[dataset.episodes[i] for i in order[:k]])

@@ -69,7 +69,7 @@ class ExpertRewardsMissing(DataError):
 
 
 class RewardsMissing(DataError):
-    """Episodic-return selection requires rewards on every episode."""
+    """An episodic return was asked of an episode without rewards."""
 
 
 class IdMismatch(DataError):

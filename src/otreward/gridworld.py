@@ -148,7 +148,7 @@ def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
     at_goal = np.array([c == env.goal for c in cells])
     return Trajectory(
         observations=np.array([env.observation(c) for c in cells]),
-        actions=np.array([[float(a)] for a in actions]) if actions else np.zeros((0, 1)),
+        actions=np.array([[float(a)] for a in actions]) if actions else None,
         rewards=_move_rewards(env, at_goal),
         terminals=at_goal,
         id=ep_id,
@@ -328,27 +328,16 @@ def _parse_keys(raw: dict[str, str], parsers: dict) -> dict[str, object]:
             for key, parse in parsers.items() if key in raw}
 
 
-def save_harness_config(path, config: HarnessConfig) -> None:
-    """Serialize a demo configuration as plain key = value lines."""
-    values = {key: getattr(config.env, key) for key in _ENV_KEYS}
-    values.update((key, getattr(config, key)) for key in _RUN_KEYS)
-    text = {
-        key: ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        for key, value in values.items()
-    }
-    text.update(config.label.to_text())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{key} = {value}\n" for key, value in text.items())
-
-
 def load_harness_config(path) -> HarnessConfig:
-    """Parse a key = value demo configuration file.
+    """Read a demo configuration file; configs/reference.gridworld is a complete example.
 
-    The accepted keys are those of ``_ENV_KEYS`` (the Gridworld), the run
-    keys of ``_RUN_KEYS`` and the label settings of ``labeler.LABEL_KEYS``.
-    A missing required Gridworld key, an unknown or repeated key or an
-    unparsable value raises ValueError; every other missing key keeps its
-    default.
+    Each line holds one ``key = value``; text after ``#`` and blank lines
+    are ignored. Cells are written ``x,y``. The keys are those of three
+    tables: ``_ENV_KEYS`` (the Gridworld), ``_RUN_KEYS`` (episode counts,
+    seed, sweeps) and ``labeler.LABEL_KEYS`` (the label settings). width,
+    height, start and goal are required; every other key keeps its default
+    when absent. A missing required key, an unknown or repeated key or an
+    unparsable value raises ValueError.
     """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:

@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -62,8 +61,8 @@ class PostScaleKind(Enum):
 class PostScale:
     """Dataset-level reward post-processing applied after squashing.
 
-    Spelled as text ``none``, ``return-range[:target]`` or ``shift:<delta>``;
-    ``str`` and ``parse`` convert between the two.
+    Spelled as text ``none``, ``return-range[:target]`` or ``shift:<delta>``,
+    which ``parse`` reads.
     """
 
     kind: PostScaleKind
@@ -89,11 +88,6 @@ class PostScale:
     def shift(cls, delta: float) -> "PostScale":
         """Add delta to every reward."""
         return cls(kind=PostScaleKind.SHIFT, value=delta)
-
-    def __str__(self) -> str:
-        if self.kind is PostScaleKind.NONE:
-            return self.kind.value
-        return f"{self.kind.value}:{self.value!r}"
 
     @classmethod
     def parse(cls, text: str) -> "PostScale":
@@ -148,15 +142,6 @@ class LabelConfig:
         if self.squash_scale is ScaleMode.ANTMAZE:
             return float(self.episode_length)
         return self.squash_beta
-
-    def to_text(self) -> dict[str, str]:
-        """Every setting as LABEL_KEYS spells it; unset action_dim is left out."""
-        text = {}
-        for key, (path, _) in LABEL_KEYS.items():
-            value = attrgetter(path)(self)
-            if value is not None:
-                text[key] = value.value if isinstance(value, Enum) else str(value)
-        return text
 
     def with_text(self, mapping: Mapping[str, str]) -> "LabelConfig":
         """A copy with the LABEL_KEYS settings in mapping parsed and applied.

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingActions, TargetTooSmall
+from .errors import DimensionMismatch, MissingActions, RewardsMissing, TargetTooSmall
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -30,9 +30,10 @@ class Trajectory:
     """One episode: observations plus optional actions, rewards, terminals.
 
     observations has shape (T, d) with T >= 1. actions, when present, has
-    shape (T, d_a) or (T - 1, d_a); rewards and terminals, when present,
-    have length T (one entry per step). source_expert is the index of the
-    demonstration the rewards were labeled against, None when unknown.
+    shape (T, d_a) or (T - 1, d_a), never (0, d_a): no actions is None.
+    rewards and terminals, when present, have length T (one entry per
+    step). source_expert is the index of the demonstration the rewards were
+    labeled against, None when unknown.
     """
 
     observations: np.ndarray
@@ -52,10 +53,10 @@ class Trajectory:
         T = obs.shape[0]
         if self.actions is not None:
             acts = np.asarray(self.actions, dtype=np.float64)
-            if acts.ndim != 2 or acts.shape[0] not in (T, T - 1):
+            if acts.ndim != 2 or acts.shape[0] not in (T, T - 1) or acts.shape[0] == 0:
                 raise DimensionMismatch(
                     f"actions must have shape (T, d_a) or (T-1, d_a) with T={T}, "
-                    f"got {acts.shape}"
+                    f"never (0, d_a): no actions is None; got {acts.shape}"
                 )
             object.__setattr__(self, "actions", acts)
         if self.rewards is not None:
@@ -88,7 +89,7 @@ class Trajectory:
     def episodic_return(self) -> float:
         """Sum of stored rewards; raises if the episode carries none."""
         if self.rewards is None:
-            raise ValueError(f"episode {self.id!r} has no rewards")
+            raise RewardsMissing(f"episode {self.id!r} has no rewards")
         return float(self.rewards.sum())
 
 

@@ -184,7 +184,9 @@ def _sinkhorn_active(
     SV; every guard is then decided for every iteration, in order. The
     underflow test is exact, as a minimum ignores summation order; the
     L-infinity plan check runs where the matvec row residual is within tol
-    plus slack. Rows after the first underflow are dropped; its half-steps rerun.
+    plus slack. A candidate that fails it with an identical next iterate is a
+    fixpoint: every later iteration repeats it, so it is the capped result.
+    Rows after the first underflow are dropped; its half-steps rerun.
     """
     tol = params.marginal_tolerance
     K = -C / params.epsilon
@@ -221,6 +223,9 @@ def _sinkhorn_active(
                 if (np.abs(plan.sum(axis=1) - a).max() <= tol
                         and np.abs(plan.sum(axis=0) - b).max() <= tol):
                     return plan, it + int(j) + 1, True
+                if (j + 1 < done and np.array_equal(SU[j + 1], SU[j])
+                        and np.array_equal(SV[j + 1], SV[j])):
+                    return plan, params.max_iterations, False
         su, sv = SU[done], SV[done]
         if len(low):
             f, su, g, sv = _half_step(K, G, RS[done - 1], a, f, g, SV[done - 1])

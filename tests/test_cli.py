@@ -213,19 +213,9 @@ def test_diagnose_unpaired_ids_are_id_mismatch(tmp_path, capsys, labeled_ids, tr
 
 
 def test_demo_gridworld_truth_small(tmp_path, capsys):
-    from dataclasses import replace
-
-    from otreward import Gridworld, reference_config, save_harness_config
-
-    config = replace(
-        reference_config(),
-        env=Gridworld(width=4, height=4, start=(0, 0), goal=(3, 3)),
-        n_medium=3,
-        n_random=5,
-        sweeps=500,
-    )
     path = tmp_path / "small.gridworld"
-    save_harness_config(path, config)
+    path.write_text("width = 4\nheight = 4\nstart = 0,0\ngoal = 3,3\n"
+                    "n_medium = 3\nn_random = 5\nsweeps = 500\n")
     code = main(["demo-gridworld", "--config", str(path), "--labeler", "truth"])
     assert code == 0
     stdout = capsys.readouterr().out

@@ -136,6 +136,17 @@ def test_bad_source_expert_names_the_line(tmp_path, value):
     assert "source_expert" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["true", "[1, 2]", "7"], ids=["boolean", "list", "number"])
+def test_non_string_id_names_the_line(tmp_path, value):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"observations": [[0]], "id": "a"}\n'
+                    '{"observations": [[1]], "id": %s}\n' % value)
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line_number == 2
+    assert "'id' must be a string" in str(exc.value)
+
+
 def test_null_or_missing_observations_name_the_line(tmp_path):
     path = tmp_path / "null.jsonl"
     for record in ('{"observations": null}', '{"rewards": [1.0]}'):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from otreward import (
     load_harness_config,
     reference_config,
     run_demo,
-    save_harness_config,
 )
 from otreward.errors import EmptyDataset, InvalidCounts
 from otreward.gridworld import ACTIONS, N_ACTIONS
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.gridworld"
 
 
 def small_env(**kwargs):
@@ -282,8 +284,7 @@ def test_fit_matches_per_transition_loop_bit_for_bit(sweeps):
 
 def test_config_rejects_repeated_key(tmp_path):
     path = tmp_path / "twice.gridworld"
-    save_harness_config(path, reference_config())
-    path.write_text(path.read_text() + "seed = 2\n")
+    path.write_text(REFERENCE_CONFIG.read_text() + "seed = 2\n")
     with pytest.raises(ValueError, match="'seed'"):
         load_harness_config(path)
 
@@ -317,19 +318,14 @@ def test_action_vectors_are_unit_moves():
     assert ACTIONS == ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def test_harness_config_round_trip(tmp_path):
-    config = reference_config()
-    path = tmp_path / "demo.gridworld"
-    save_harness_config(path, config)
-    assert load_harness_config(path) == config
-
-
 @pytest.mark.parametrize(
-    "post_scale",
-    [PostScale.none(), PostScale.return_range(250.0), PostScale.shift(-0.5)],
+    "text, post_scale",
+    [("none", PostScale.none()), ("return-range:250.0", PostScale.return_range(250.0)),
+     ("shift:-0.5", PostScale.shift(-0.5))],
     ids=["none", "return-range", "shift"],
 )
-def test_harness_config_round_trip_is_lossless(tmp_path, post_scale):
+def test_harness_config_round_trip_is_lossless(tmp_path, text, post_scale):
+    """The text spelling of each label setting loads as the setting it names."""
     base = reference_config()
     label = replace(
         base.label,
@@ -339,8 +335,11 @@ def test_harness_config_round_trip_is_lossless(tmp_path, post_scale):
         post_scale=post_scale,
     )
     config = replace(base, label=label)
+    lines = [line for line in REFERENCE_CONFIG.read_text().splitlines(True)
+             if not line.startswith("post_scale")]
     path = tmp_path / "demo.gridworld"
-    save_harness_config(path, config)
+    path.write_text("".join(lines) + "marginal_tolerance = 0.0001\nepisode_length = 250\n"
+                    f"action_dim = 3\npost_scale = {text}\n")
     assert load_harness_config(path) == config
 
 

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports or keeps private is used in it.
 
 No linter ships with the project, so this walks each module's syntax tree.
-__init__.py is left out: its imports are the package's re-exports.
+__init__.py is left out: its imports are the package's re-exports, and
+every name it exports must resolve.
 """
 
 import ast
@@ -36,3 +37,33 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Top-level _names (functions, classes, assignments) that source never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_unread_private_names_finds_what_is_never_read():
+    source = "def _a(): pass\n_B = 1\n_C: int = 2\nclass _D: pass\nE = 3\n_a()\nprint(_C)\n"
+    assert unread_private_names(source) == ["_B", "_D"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_export_resolves():
+    assert [name for name in otreward.__all__ if not hasattr(otreward, name)] == []

@@ -14,7 +14,7 @@ from otreward import (
     trajectory_to_measure,
 )
 from otreward.costs import CostKind
-from otreward.errors import DimensionMismatch, MissingActions, TargetTooSmall
+from otreward.errors import DimensionMismatch, MissingActions, RewardsMissing, TargetTooSmall
 
 from conftest import make_episode
 
@@ -123,6 +123,17 @@ def test_trajectory_rejects_ragged_observations():
         Trajectory(observations=[[1.0, 2.0]], rewards=[1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         Trajectory(observations=[[1.0], [2.0], [3.0]], actions=[[0.0]])
+
+
+def test_trajectory_spells_no_actions_only_as_none():
+    # Zero rows would be written as "actions": [], which reading rejects.
+    with pytest.raises(DimensionMismatch, match="no actions is None"):
+        Trajectory(observations=np.ones((1, 3)), actions=np.zeros((0, 2)))
+
+
+def test_return_without_rewards_is_a_data_error():
+    with pytest.raises(RewardsMissing, match="episode 'bare' has no rewards"):
+        Trajectory(observations=np.ones((2, 3)), id="bare").episodic_return()
 
 
 def test_measure_invariants_enforced():

@@ -217,8 +217,8 @@ def _oracle_instance(seed, kind, dim, max_rows=65):
 # (instance, params, reference converges?). The squared-Euclidean and
 # eps = 0.001 instances send half-steps to the log domain mid-block; the
 # 1x1 instance passes the screen at iteration 0, which never decides; the
-# tolerance-1e-20 instance reaches a bitwise fixpoint that passes the screen
-# on many iterations without passing the explicit check; at 300x300 the
+# tolerance-1e-20 instances reach a bitwise fixpoint that passes the screen
+# on every later iteration without passing the explicit check; at 300x300 the
 # row RMS falls below tol long before the largest row residual does.
 BLOCK_ORACLE_CASES = [
     pytest.param(_oracle_instance(seed, CostKind.COSINE, 3),
@@ -240,6 +240,9 @@ BLOCK_ORACLE_CASES = [
     pytest.param(_oracle_instance(300, CostKind.COSINE, 4, max_rows=19),
                  SinkhornParams(epsilon=0.5, max_iterations=100, marginal_tolerance=1e-20),
                  False, id="fixpoint-1e-20"),
+    pytest.param(_oracle_instance(300, CostKind.COSINE, 4, max_rows=19),
+                 SinkhornParams(epsilon=0.5, max_iterations=1000, marginal_tolerance=1e-20),
+                 False, id="fixpoint-1e-20-capped-1000"),
 ] + [
     pytest.param(_oracle_instance(seed, kind, 14), SinkhornParams(epsilon=0.01,
                  max_iterations=k), False, id=f"cap-{k}-{kind.value}-{seed}")
@@ -283,6 +286,18 @@ def test_screen_builds_no_plan_that_cannot_pass(monkeypatch):
     _, iterations, converged = _sinkhorn_active(C, a, b, SinkhornParams(epsilon=0.01))
     assert (iterations, converged) == (1000, False)
     assert counting.plan_checks == 0
+
+
+def test_fixpoint_ends_the_plan_checks(monkeypatch):
+    # After 27 iterations the iterates repeat bit for bit and pass the screen;
+    # the plan that fails the check there fails it on every later iteration.
+    C, a, b = _oracle_instance(300, CostKind.COSINE, 4, max_rows=19)
+    params = SinkhornParams(epsilon=0.5, max_iterations=1000, marginal_tolerance=1e-20)
+    counting = _CountingNumpy()
+    monkeypatch.setattr("otreward.solver.np", counting)
+    _, iterations, converged = _sinkhorn_active(C, a, b, params)
+    assert (iterations, converged) == (1000, False)
+    assert counting.plan_checks <= _BLOCK
 
 
 def _holds_subnormals(G):
