@@ -72,11 +72,11 @@ def cmd_select_experts(args: argparse.Namespace) -> int:
 
 
 def _episodes_by_id(dataset, path) -> dict:
-    """Episodes keyed by id, in file order; a repeated id raises IdMismatch."""
+    """Episodes keyed by id, in file order; a repeated id is a DataError."""
     by_id = {}
     for ep in dataset.episodes:
         if by_id.setdefault(ep.id, ep) is not ep:
-            raise errors.IdMismatch(f"episode id {ep.id!r} appears more than once in {path}")
+            raise errors.DataError(f"episode id {ep.id!r} appears more than once in {path}")
     return by_id
 
 
@@ -89,12 +89,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     truth_returns = []
     for ep in _episodes_by_id(labeled, args.labeled).values():
         if ep.id not in truth_by_id:
-            raise errors.IdMismatch(f"episode {ep.id!r} not present in {args.truth}")
+            raise errors.DataError(f"episode {ep.id!r} not present in {args.truth}")
         truth_ep = truth_by_id[ep.id]
         if truth_ep.rewards is None:
-            raise errors.RewardsMissing(f"episode {ep.id!r} has no rewards in truth file")
+            raise errors.DataError(f"episode {ep.id!r} has no rewards in truth file")
         if ep.rewards is None:
-            raise errors.RewardsMissing(f"episode {ep.id!r} has no rewards in labeled file")
+            raise errors.DataError(f"episode {ep.id!r} has no rewards in labeled file")
         t_ret = truth_ep.episodic_return()
         l_ret = ep.episodic_return()
         rows.append((ep.id, repr(t_ret), repr(l_ret), ep.source_expert))

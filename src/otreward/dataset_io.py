@@ -28,12 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import (
-    DataIoError,
-    DimensionMismatch,
-    NonFiniteValue,
-    ParseError,
-)
+from .errors import DataError, DataIoError, DimensionMismatch, ParseError
 from .labeler import LabeledTrajectory
 from .measures import Trajectory
 
@@ -85,7 +80,7 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
                if key == "observations" or rec.get(key) is not None}
     for key, arr in numbers.items():
         if not np.isfinite(arr).all():
-            raise NonFiniteValue(f"line {line_no}: {key} contain NaN or infinity")
+            raise DataError(f"line {line_no}: {key} contain NaN or infinity")
 
     terminals = None
     if rec.get("terminals") is not None:
@@ -122,7 +117,7 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
     """Load a newline-delimited episode file, validating every record.
 
     Raises ParseError (with the line number) for malformed records,
-    NonFiniteValue for NaN/Inf numbers, and DimensionMismatch when episodes
+    DataError for NaN/Inf numbers, and DimensionMismatch when episodes
     disagree on feature dimensions.
     """
     episodes: list[Trajectory] = []
@@ -190,7 +185,7 @@ def select_top_k_experts(dataset: EpisodicDataset, k: int) -> EpisodicDataset:
     """Pick the k episodes with the largest episodic return, descending.
 
     Ties keep the earlier-indexed episode first. Asking for more episodes
-    than exist returns them all. Missing rewards raise RewardsMissing.
+    than exist returns them all. Missing rewards raise DataError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

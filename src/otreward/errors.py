@@ -1,4 +1,18 @@
-"""Exception types raised by the labeling pipeline."""
+"""Exception types raised by the labeling pipeline.
+
+A class exists only where code catches it or reads its data. Every other
+fault raises its exit-code category with a message that says what failed:
+
+- DataError (CLI exit 3): malformed, inconsistent or incomplete input, such
+  as a missing expert set, episode or action, absent rewards, NaN or
+  infinite numbers in a dataset file, or episode ids that do not pair up.
+- NumericError (CLI exit 4): input a numeric routine cannot compute on, such
+  as a non-finite cost matrix or reward vector, marginals that are negative
+  or do not sum to one, a padding target shorter than the measure, an
+  instance too large for the exact LP oracle, or equal episodic returns
+  under return-range rescaling.
+- DataIoError (CLI exit 5): reading or writing a file failed at the OS level.
+"""
 
 
 class OtRewardError(Exception):
@@ -17,67 +31,10 @@ class NumericError(OtRewardError):
 
 
 class DimensionMismatch(DataError):
-    """Feature vectors or matrices have incompatible dimensions."""
+    """Feature vectors or matrices have incompatible dimensions.
 
-
-class MissingActions(DataError):
-    """State-action features requested on a trajectory without actions."""
-
-
-class TargetTooSmall(NumericError):
-    """Padding target is shorter than the measure being padded."""
-
-
-class MarginalMismatch(NumericError):
-    """Transport marginals do not sum to one (or to each other)."""
-
-
-class NegativeWeight(NumericError):
-    """A marginal weight vector contains a negative entry."""
-
-
-class NonFiniteCost(NumericError):
-    """Cost matrix contains NaN or infinite entries."""
-
-
-class NonFiniteInput(NumericError):
-    """Reward vector handed to squashing contains NaN or infinite entries."""
-
-
-class NonFiniteValue(DataError):
-    """Dataset file contains NaN or infinite numbers."""
-
-
-class TooLarge(NumericError):
-    """Instance exceeds the exact LP oracle's size limit."""
-
-
-class EmptyExpertSet(DataError):
-    """No expert demonstrations were provided."""
-
-
-class EmptyDataset(DataError):
-    """Operation requires at least one episode."""
-
-
-class DegenerateReturnRange(NumericError):
-    """All episodic returns are equal; range rescaling is undefined."""
-
-
-class ExpertRewardsMissing(DataError):
-    """UDS baseline requires ground-truth rewards on expert episodes."""
-
-
-class RewardsMissing(DataError):
-    """An episodic return was asked of an episode without rewards."""
-
-
-class IdMismatch(DataError):
-    """Episode ids do not line up across the files being compared."""
-
-
-class InvalidCounts(DataError):
-    """Dataset generation called with invalid episode counts."""
+    dataset_io catches it to report the offending line as a ParseError.
+    """
 
 
 class ParseError(DataError):

@@ -21,8 +21,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .dataset_io import EpisodicDataset, return_correlations
-from .errors import EmptyDataset, InvalidCounts
+from .errors import DataError
 from .labeler import (
+    LABEL_KEYS,
     LabelConfig,
     LabeledTrajectory,
     PostScale,
@@ -170,9 +171,9 @@ def generate_dataset(
     recomputes them). Identical seeds produce identical datasets.
     """
     if n_expert < 1:
-        raise InvalidCounts(f"need at least one expert episode, got {n_expert}")
+        raise ValueError(f"need at least one expert episode, got {n_expert}")
     if n_medium < 0 or n_random < 0:
-        raise InvalidCounts("episode counts must be nonnegative")
+        raise ValueError("episode counts must be nonnegative")
     rng = np.random.default_rng(seed)
     experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}")
                for i in range(n_expert)]
@@ -210,7 +211,7 @@ def _decode_transitions(env: Gridworld, dataset: list[LabeledTrajectory]):
             moves.append((states[:-1], np.rint(actions[:n, 0]).astype(np.int64),
                           lt.ot_rewards[:n], states[1:]))
     if not moves:
-        raise EmptyDataset("no transitions to fit on")
+        raise DataError("no transitions to fit on")
     S, A, R, SN = (np.concatenate(xs) for xs in zip(*moves))
     if A.min() < 0 or A.max() >= N_ACTIONS:  # S * N_ACTIONS + A would alias another pair
         raise ValueError(f"actions must round to 0..{N_ACTIONS - 1}")
@@ -308,18 +309,11 @@ def _parse_cell(text: str) -> tuple[int, int]:
     return (int(x), int(y))
 
 
-# Config-file keys outside LabelConfig: key -> parser from text.
-_ENV_KEYS = {
-    "width": int,
-    "height": int,
-    "start": _parse_cell,
-    "goal": _parse_cell,
-    "horizon": int,
-    "discount": float,
-    "step_reward": float,
-    "goal_reward": float,
-}
-_RUN_KEYS = {"n_expert": int, "n_medium": int, "n_random": int, "seed": int, "sweeps": int}
+# Config-file keys outside LabelConfig: key -> parser from text, one for each
+# field of Gridworld and HarnessConfig whose annotation _PARSERS names.
+_PARSERS = {"int": int, "float": float, "tuple[int, int]": _parse_cell}
+_ENV_KEYS, _RUN_KEYS = ({f.name: _PARSERS[f.type] for f in fields(cls) if f.type in _PARSERS}
+                        for cls in (Gridworld, HarnessConfig))
 
 
 def _parse_keys(raw: dict[str, str], parsers: dict) -> dict[str, object]:
@@ -334,10 +328,11 @@ def load_harness_config(path) -> HarnessConfig:
     Each line holds one ``key = value``; text after ``#`` and blank lines
     are ignored. Cells are written ``x,y``. The keys are those of three
     tables: ``_ENV_KEYS`` (the Gridworld), ``_RUN_KEYS`` (episode counts,
-    seed, sweeps) and ``labeler.LABEL_KEYS`` (the label settings). width,
-    height, start and goal are required; every other key keeps its default
-    when absent. A missing required key, an unknown or repeated key or an
-    unparsable value raises ValueError.
+    seed, sweeps) and ``LABEL_KEYS`` (the label settings). width, height,
+    start and goal are required; every other key keeps its default when
+    absent. A missing required key, an unknown or repeated key or an
+    unparsable value raises ValueError; an unknown key's message lists
+    every accepted key.
     """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -352,6 +347,11 @@ def load_harness_config(path) -> HarnessConfig:
                 raise ValueError(f"{path}: key {key!r} set more than once")
             raw[key] = value
 
+    known = [*_ENV_KEYS, *_RUN_KEYS, *LABEL_KEYS]
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(known)}")
     missing = [f.name for f in fields(Gridworld) if f.default is MISSING and f.name not in raw]
     if missing:
         raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")

@@ -30,13 +30,7 @@ from functools import partial
 import numpy as np
 
 from .costs import CostKind, pairwise_costs
-from .errors import (
-    EmptyDataset,
-    EmptyExpertSet,
-    DegenerateReturnRange,
-    ExpertRewardsMissing,
-    NonFiniteInput,
-)
+from .errors import DataError, NumericError
 from .measures import FeatureMode, Trajectory, trajectory_to_measure
 from .solver import Coupling, SinkhornParams, sinkhorn
 
@@ -91,10 +85,10 @@ class PostScale:
 
     @classmethod
     def parse(cls, text: str) -> "PostScale":
-        """Read the text form; the return-range target defaults to 1000."""
+        """Read the text form; ``return-range`` alone means the target 1000."""
         name, sep, value = text.strip().partition(":")
         if name == PostScaleKind.RETURN_RANGE.value:
-            return cls.return_range(float(value)) if value else cls.return_range()
+            return cls.return_range(float(value)) if sep else cls.return_range()
         if name == PostScaleKind.SHIFT.value and sep:
             return cls.shift(float(value))
         if name == PostScaleKind.NONE.value and not sep:
@@ -296,7 +290,7 @@ def aggregate_over_experts(
     Ties go to the lowest index.
     """
     if not experts:
-        raise EmptyExpertSet("at least one expert demonstration is required")
+        raise DataError("at least one expert demonstration is required")
     rewards = [plan_rewards(unlabeled, e, cfg) for e in experts]
     returns = np.array([r.sum() for r in rewards])
     best = int(np.argmax(returns))
@@ -307,7 +301,7 @@ def squash(raw: np.ndarray, cfg: LabelConfig) -> np.ndarray:
     """Elementwise s(r) = alpha * exp(E * r) with E from the scale mode."""
     raw = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(raw).all():
-        raise NonFiniteInput("rewards handed to squash contain NaN or infinities")
+        raise NumericError("rewards handed to squash contain NaN or infinities")
     return cfg.squash_alpha * np.exp(cfg.squash_exponent() * raw)
 
 
@@ -318,14 +312,12 @@ def post_scale_rewards(
     if mode.kind is PostScaleKind.NONE:
         return list(dataset)
     if not dataset:
-        raise EmptyDataset("post-scaling requires at least one labeled episode")
+        raise DataError("post-scaling requires at least one labeled episode")
     if mode.kind is PostScaleKind.RETURN_RANGE:
         returns = [lt.episodic_return() for lt in dataset]
         spread = max(returns) - min(returns)
         if spread <= 0:
-            raise DegenerateReturnRange(
-                "all episodic returns are equal; range rescaling is undefined"
-            )
+            raise NumericError("all episodic returns are equal; range rescaling is undefined")
         factor = mode.value / spread
         return [lt.with_rewards(lt.ot_rewards * factor) for lt in dataset]
     return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
@@ -374,7 +366,7 @@ def label_dataset(
     """
     workers = resolve_workers(workers)
     if not experts:
-        raise EmptyExpertSet("at least one expert demonstration is required")
+        raise DataError("at least one expert demonstration is required")
     if not unlabeled:
         return []
     label_one = partial(_label_one, experts=experts, cfg=cfg, plan_rewards=plan_rewards)
@@ -415,9 +407,7 @@ def uds_rewards(
     out: list[LabeledTrajectory] = []
     for e in experts:
         if e.rewards is None:
-            raise ExpertRewardsMissing(
-                f"expert episode {e.id!r} has no ground-truth rewards"
-            )
+            raise DataError(f"expert episode {e.id!r} has no ground-truth rewards")
         out.append(LabeledTrajectory(base=e, ot_rewards=e.rewards.copy()))
     for ep in unlabeled:
         out.append(

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingActions, RewardsMissing, TargetTooSmall
+from .errors import DataError, DimensionMismatch, NumericError
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -89,7 +89,7 @@ class Trajectory:
     def episodic_return(self) -> float:
         """Sum of stored rewards; raises if the episode carries none."""
         if self.rewards is None:
-            raise RewardsMissing(f"episode {self.id!r} has no rewards")
+            raise DataError(f"episode {self.id!r} has no rewards")
         return float(self.rewards.sum())
 
 
@@ -143,7 +143,7 @@ def trajectory_to_measure(traj: Trajectory, features: FeatureMode) -> WeightedMe
         points = traj.observations
     elif features is FeatureMode.STATE_ACTION:
         if traj.actions is None:
-            raise MissingActions(
+            raise DataError(
                 f"state-action features requested but episode {traj.id!r} has no actions"
             )
         acts = traj.actions
@@ -164,7 +164,7 @@ def pad_measure(m: WeightedMeasure, target_len: int) -> WeightedMeasure:
     """
     n = len(m)
     if target_len < n:
-        raise TargetTooSmall(f"target length {target_len} < measure length {n}")
+        raise NumericError(f"target length {target_len} < measure length {n}")
     if target_len == n:
         return WeightedMeasure(points=m.points, weights=m.weights)
     extra = target_len - n

@@ -34,13 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MarginalMismatch,
-    NegativeWeight,
-    NonFiniteCost,
-    TooLarge,
-)
+from .errors import DimensionMismatch, NumericError
 
 MARGINAL_SUM_TOL = 1e-9
 MAX_LP_POINTS = 64
@@ -69,6 +63,8 @@ class SinkhornParams:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0 < self.marginal_tolerance < math.inf:
@@ -102,12 +98,12 @@ def _validate_instance(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             f"marginals ({a.shape}, {b.shape}) do not match cost shape {cost.shape}"
         )
     if not np.isfinite(cost).all():
-        raise NonFiniteCost("cost matrix contains NaN or infinite entries")
+        raise NumericError("cost matrix contains NaN or infinite entries")
     if np.any(a < 0) or np.any(b < 0):
-        raise NegativeWeight("marginal weights must be nonnegative")
+        raise NumericError("marginal weights must be nonnegative")
     sa, sb = float(a.sum()), float(b.sum())
     if abs(sa - 1.0) > MARGINAL_SUM_TOL or abs(sb - 1.0) > MARGINAL_SUM_TOL:
-        raise MarginalMismatch(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
+        raise NumericError(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
 
 
 def _solve_on_support(cost, a, b, solve) -> Coupling:
@@ -304,9 +300,7 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The transportation LP on strictly positive marginals, flows made exact."""
     n, m = C.shape
     if n + m > MAX_LP_POINTS:
-        raise TooLarge(
-            f"lp_oracle limited to {MAX_LP_POINTS} weighted points, got {n + m}"
-        )
+        raise NumericError(f"lp_oracle limited to {MAX_LP_POINTS} weighted points, got {n + m}")
     from scipy.optimize import linprog  # slow to import; only this oracle needs it
 
     # Row-sum then column-sum constraints on the row-major flattened plan.

@@ -212,6 +212,20 @@ def test_diagnose_unpaired_ids_are_id_mismatch(tmp_path, capsys, labeled_ids, tr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing_in", ["truth", "labeled"])
+def test_diagnose_episode_without_rewards_names_its_file(tmp_path, capsys, missing_in):
+    for name in ("labeled", "truth"):
+        rec = {"id": "a", "observations": [[0.0]]}
+        if name != missing_in:
+            rec["rewards"] = [1.0]
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps(rec) + "\n")
+    out = tmp_path / "d.csv"
+    assert main(["diagnose", str(tmp_path / "labeled.jsonl"), str(tmp_path / "truth.jsonl"),
+                 str(out)]) == 3
+    assert f"episode 'a' has no rewards in {missing_in} file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_demo_gridworld_truth_small(tmp_path, capsys):
     path = tmp_path / "small.gridworld"
     path.write_text("width = 4\nheight = 4\nstart = 0,0\ngoal = 3,3\n"
@@ -251,9 +265,30 @@ def test_demo_gridworld_config_missing_key(tmp_path, capsys):
 
 def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
     path = tmp_path / "typo.gridworld"
-    path.write_text(REFERENCE_CONFIG.read_text() + "epsilom = 0.1\n")
+    # A typo of a label key and of a run key; the message lists every accepted key.
+    for line in ("epsilom = 0.1", "sed = 7"):
+        path.write_text(REFERENCE_CONFIG.read_text() + line + "\n")
+        assert main(["demo-gridworld", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(line.split()[0]) in err
+        assert all(key in err for key in ("width", "goal_reward", "seed", "sweeps", "epsilon"))
+
+
+def test_demo_gridworld_config_zero_experts_is_usage_error(tmp_path, capsys):
+    path = reference_config_with(tmp_path, "n_expert", "0")
     assert main(["demo-gridworld", "--config", str(path)]) == 2
-    assert "epsilom" in capsys.readouterr().err
+    assert "need at least one expert episode, got 0" in capsys.readouterr().err
+
+
+def test_demo_gridworld_default_config_is_the_reference_file(capsys):
+    def summary():
+        return re.sub(r"time = [\d.]+ s", "time", capsys.readouterr().out)
+
+    assert main(["demo-gridworld"]) == 0
+    default = summary()
+    assert "labeler = otr" in default and "success_rate" in default
+    assert main(["demo-gridworld", "--config", str(REFERENCE_CONFIG)]) == 0
+    assert summary() == default
 
 
 def test_demo_gridworld_config_repeated_key(tmp_path, capsys):
@@ -395,7 +430,10 @@ def test_every_error_exits_with_its_documented_code(monkeypatch, capsys):
                     errors.NumericError: documented["numeric"],
                     errors.DataIoError: documented["I/O"]}
     classes = list(_error_classes())
-    assert len(classes) >= 20
+    # A class exists only where code catches it (DimensionMismatch) or reads its
+    # data (ParseError.line_number); every other fault raises its category.
+    assert sorted(cls.__name__ for cls in classes) == [
+        "DataError", "DataIoError", "DimensionMismatch", "NumericError", "ParseError"]
     for cls in classes:
         codes = [code for base, code in code_of_base.items() if issubclass(cls, base)]
         assert len(codes) == 1, f"{cls.__name__} needs exactly one exit-code base"

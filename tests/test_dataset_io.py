@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,12 +14,8 @@ from otreward import (
     write_diagnostics,
     write_labeled,
 )
-from otreward.errors import (
-    DimensionMismatch,
-    NonFiniteValue,
-    ParseError,
-    RewardsMissing,
-)
+from otreward import dataset_io
+from otreward.errors import DataError, DimensionMismatch, ParseError
 
 from conftest import make_episode
 
@@ -158,19 +155,20 @@ def test_null_or_missing_observations_name_the_line(tmp_path):
 
 def test_invalid_json_names_the_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"observations": [[1]]}\nnot json\n')
-    with pytest.raises(ParseError) as exc:
-        read_dataset(path)
-    assert exc.value.line_number == 2
+    for record, message in (("not json", "invalid JSON"), ("[1, 2]", "record is not an object")):
+        path.write_text('{"observations": [[1]]}\n%s\n' % record)
+        with pytest.raises(ParseError, match=f"line 2: {message}") as exc:
+            read_dataset(path)
+        assert exc.value.line_number == 2
 
 
 def test_non_finite_values_rejected(tmp_path):
     path = tmp_path / "nan.jsonl"
     path.write_text('{"observations": [[1.0], [null]]}\n')
-    with pytest.raises((NonFiniteValue, ParseError)):
+    with pytest.raises(ParseError, match="'observations' must hold numbers"):
         read_dataset(path)
     path.write_text('{"observations": [[1.0], [NaN]]}\n')
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DataError, match="line 1: observations contain NaN or infinity"):
         read_dataset(path)
 
 
@@ -255,7 +253,7 @@ def test_select_k_larger_than_dataset_returns_all(rng):
 
 def test_select_requires_rewards(rng):
     ds = EpisodicDataset(episodes=[make_episode(rng, 3, 2)])
-    with pytest.raises(RewardsMissing):
+    with pytest.raises(DataError, match="has no rewards$"):
         select_top_k_experts(ds, 1)
 
 
@@ -296,3 +294,17 @@ def test_jsonl_lines_end_in_a_bare_newline(rng, tmp_path):
         assert b"\r" not in raw
         assert raw.endswith(b"\n") and raw.count(b"\n") == 2
         assert [json.loads(line)["id"] for line in raw.splitlines()] == ["a", "b"]
+
+
+def test_failed_write_leaves_no_temp_file_and_keeps_the_old_output(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n")
+
+    def write(fh):
+        fh.write("partial\n")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        dataset_io._atomic_write(path, write)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]

@@ -14,7 +14,7 @@ from otreward import (
     trajectory_to_measure,
 )
 from otreward.costs import CostKind
-from otreward.errors import DimensionMismatch, MissingActions, RewardsMissing, TargetTooSmall
+from otreward.errors import DataError, DimensionMismatch, NumericError
 
 from conftest import make_episode
 
@@ -53,7 +53,7 @@ def test_state_action_uses_full_length_actions():
 
 def test_state_action_requires_actions(rng):
     traj = make_episode(rng, 3, 2)
-    with pytest.raises(MissingActions):
+    with pytest.raises(DataError, match="state-action features requested"):
         trajectory_to_measure(traj, FeatureMode.STATE_ACTION)
 
 
@@ -83,7 +83,7 @@ def test_pad_appends_zero_weights():
 
 def test_pad_target_too_small(rng):
     m = trajectory_to_measure(make_episode(rng, 4, 2), FeatureMode.STATE)
-    with pytest.raises(TargetTooSmall):
+    with pytest.raises(NumericError, match="target length 3 < measure length 4"):
         pad_measure(m, 3)
 
 
@@ -132,7 +132,7 @@ def test_trajectory_spells_no_actions_only_as_none():
 
 
 def test_return_without_rewards_is_a_data_error():
-    with pytest.raises(RewardsMissing, match="episode 'bare' has no rewards"):
+    with pytest.raises(DataError, match="episode 'bare' has no rewards$"):
         Trajectory(observations=np.ones((2, 3)), id="bare").episodic_return()
 
 
