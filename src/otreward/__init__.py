@@ -41,7 +41,7 @@ from .measures import (
     pad_measure,
     trajectory_to_measure,
 )
-from .solver import Coupling, SinkhornParams, lp_oracle, sinkhorn
+from .solver import Coupling, SinkhornParams, sinkhorn
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "ground_truth_rewards",
     "label_dataset",
     "load_harness_config",
-    "lp_oracle",
     "ot_rewards_single",
     "pad_measure",
     "pairwise_costs",

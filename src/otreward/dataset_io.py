@@ -205,23 +205,36 @@ def write_diagnostics(path: str | os.PathLike, rows: list[tuple]) -> None:
     _atomic_write(path, write)
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Centred, normalised dot product of two finite, non-constant sides.
+
+    Each side is first scaled by a power of two, which is exact, to a
+    largest magnitude below 1, so no sum or product can overflow.
+    """
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
+    x, y = x - x.mean(), y - y.mean()
+    r = float(np.dot(x, y)) / math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
+    return min(1.0, max(-1.0, r))
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def return_correlations(x: list[float], y: list[float]) -> tuple[float, float, bool]:
     """Pearson and Spearman correlation between two return sequences.
 
-    Degenerate inputs (either side constant) report 0.0 for the undefined
-    coefficient and flag it, instead of propagating NaN.
+    Spearman is the Pearson correlation of the ranks, where tied values
+    share the average of the ranks they span. Degenerate inputs (fewer
+    than two values, either side constant, or any value NaN or infinite)
+    report 0.0 for both coefficients and flag it, instead of propagating
+    NaN.
     """
-    from scipy import stats
-
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    degenerate = (
-        len(x) < 2 or float(np.var(x)) == 0.0 or float(np.var(y)) == 0.0
-    )
-    if degenerate:
+    if (len(x) < 2 or not (np.isfinite(x).all() and np.isfinite(y).all())
+            or x.min() == x.max() or y.min() == y.max()):
         return 0.0, 0.0, True
-    pearson = float(stats.pearsonr(x, y).statistic)
-    spearman = float(stats.spearmanr(x, y).statistic)
-    if math.isnan(pearson) or math.isnan(spearman):
-        return 0.0, 0.0, True
-    return pearson, spearman, False
+    return _pearson(x, y), _pearson(_average_ranks(x), _average_ranks(y)), False

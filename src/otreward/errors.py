@@ -8,9 +8,8 @@ fault raises its exit-code category with a message that says what failed:
   infinite numbers in a dataset file, or episode ids that do not pair up.
 - NumericError (CLI exit 4): input a numeric routine cannot compute on, such
   as a non-finite cost matrix or reward vector, marginals that are negative
-  or do not sum to one, a padding target shorter than the measure, an
-  instance too large for the exact LP oracle, or equal episodic returns
-  under return-range rescaling.
+  or do not sum to one, a padding target shorter than the measure, or equal
+  episodic returns under return-range rescaling.
 - DataIoError (CLI exit 5): reading or writing a file failed at the OS level.
 """
 

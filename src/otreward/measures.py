@@ -8,6 +8,7 @@ changing the transport problem it defines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,10 +88,14 @@ class Trajectory:
         return None if self.actions is None else self.actions.shape[1]
 
     def episodic_return(self) -> float:
-        """Sum of stored rewards; raises if the episode carries none."""
+        """Sum of stored rewards; raises DataError if there are none or the sum is not finite."""
         if self.rewards is None:
             raise DataError(f"episode {self.id!r} has no rewards")
-        return float(self.rewards.sum())
+        with np.errstate(over="ignore"):
+            total = float(self.rewards.sum())
+        if not math.isfinite(total):
+            raise DataError(f"episode {self.id!r} has a return that is not finite: {total}")
+        return total
 
 
 @dataclass(frozen=True, eq=False)

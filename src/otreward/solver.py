@@ -1,27 +1,20 @@
-"""Discrete optimal transport solvers.
+"""Entropic optimal transport between weighted measures.
 
-Two routes to a coupling between weighted measures:
+``sinkhorn`` runs Sinkhorn iterations for the entropy-regularized problem
+min <C, P> - eps * H(P)  over couplings with prescribed marginals, as
+matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
+2019): the dual potentials are absorbed into the kernel, and a half-step
+whose kernel sums would underflow runs in the log domain instead, so small
+eps and large costs stay stable. The kernel holds no subnormals: entries
+below the smallest normal float are stored as 0, since x86 takes a slow
+path on subnormal operands and such an entry lies far below the last bit of
+any kernel sum of at least _KERNEL_SUM_MIN. The iterates are the textbook
+ones. Every guard is still decided on every iteration, once per block of
+iterations: the underflow test exactly, and the stop rule after an
+L-infinity screen that passes every iteration whose plan could meet the
+tolerance.
 
-- ``sinkhorn``: Sinkhorn iterations for the entropy-regularized problem
-  min <C, P> - eps * H(P)  over couplings with prescribed marginals, as
-  matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
-  2019): the dual potentials are absorbed into the kernel, and a
-  half-step whose kernel sums would underflow runs in the log domain
-  instead, so small eps and large costs stay stable. The kernel holds no
-  subnormals: entries below the smallest normal float are stored as 0,
-  since x86 takes a slow path on subnormal operands and such an entry lies
-  far below the last bit of any kernel sum of at least _KERNEL_SUM_MIN.
-  The iterates are the textbook ones. Every guard is still decided on
-  every iteration, once per block of iterations: the underflow test
-  exactly, and the stop rule after an L-infinity screen that passes every
-  iteration whose plan could meet the tolerance.
-
-- ``lp_oracle``: the exact unregularized optimum for small instances,
-  solved as the transportation linear program on the bipartite graph
-  (supplies a, demands b, arc costs C) and cleaned up to exact flows on
-  the optimal support. Intended for verification, not production solves.
-
-Zero-weight rows and columns (padding) are removed before either solve and
+Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
 unpadded problems produce identical couplings on the shared support.
 """
@@ -37,9 +30,6 @@ import numpy as np
 from .errors import DimensionMismatch, NumericError
 
 MARGINAL_SUM_TOL = 1e-9
-MAX_LP_POINTS = 64
-# LP flows at or below this are solver noise, not part of the optimal support.
-_SUPPORT_TOL = 1e-11
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
 # Kernel entries below this, the smallest normal float64, are stored as 0.
@@ -63,7 +53,9 @@ class SinkhornParams:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not isinstance(self.max_iterations, (int, np.integer)):
+        # bool is a subclass of int, so isinstance alone would let True through.
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, (int, np.integer))):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -244,70 +236,3 @@ def sinkhorn(
     always produce bit-identical couplings.
     """
     return _solve_on_support(cost, a, b, partial(_sinkhorn_active, params=params))
-
-
-def _refine_support_flows(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Recompute flows exactly from the optimal support by leaf elimination.
-
-    A basic optimal solution's support is a forest on the bipartite graph,
-    so the flows are uniquely determined by the marginals. Re-deriving them
-    removes solver rounding noise; in particular a permutation-structured
-    optimum gets flows exactly equal to the marginal weights. Falls back to
-    the raw plan if the support contains a cycle (non-vertex solution).
-    """
-    support = plan > _SUPPORT_TOL
-    out = np.zeros_like(plan)
-    ra = a.astype(np.float64).copy()
-    rb = b.astype(np.float64).copy()
-    sup = support.copy()
-    for _ in range(sup.size + len(a) + len(b)):
-        progressed = False
-        row_deg = sup.sum(axis=1)
-        for i in np.flatnonzero(row_deg == 1):
-            j = int(np.argmax(sup[i]))
-            out[i, j] = ra[i]
-            rb[j] -= ra[i]
-            ra[i] = 0.0
-            sup[i, j] = False
-            progressed = True
-        col_deg = sup.sum(axis=0)
-        for j in np.flatnonzero(col_deg == 1):
-            i = int(np.argmax(sup[:, j]))
-            out[i, j] = rb[j]
-            ra[i] -= rb[j]
-            rb[j] = 0.0
-            sup[i, j] = False
-            progressed = True
-        if not progressed:
-            break
-    if sup.any():
-        return plan
-    return np.maximum(out, 0.0)
-
-
-def lp_oracle(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> Coupling:
-    """Exact optimum of the unregularized transport problem.
-
-    Formulates the bipartite flow LP (row sums = a, column sums = b, one
-    redundant constraint dropped) and solves it with HiGHS, then snaps the
-    flows exactly onto the optimal support. Restricted to instances with
-    at most MAX_LP_POINTS points of positive weight, the size of the LP.
-    """
-    return _solve_on_support(cost, a, b, _transport_lp)
-
-
-def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """The transportation LP on strictly positive marginals, flows made exact."""
-    n, m = C.shape
-    if n + m > MAX_LP_POINTS:
-        raise NumericError(f"lp_oracle limited to {MAX_LP_POINTS} weighted points, got {n + m}")
-    from scipy.optimize import linprog  # slow to import; only this oracle needs it
-
-    # Row-sum then column-sum constraints on the row-major flattened plan.
-    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])[:-1]
-    b_eq = np.concatenate([a, b])[:-1]
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # pragma: no cover - feasible by construction
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    plan = _refine_support_flows(res.x.reshape(n, m), a, b)
-    return plan, int(getattr(res, "nit", 0)), True

@@ -18,7 +18,6 @@ from otreward import (
     SinkhornParams,
     Trajectory,
     label_dataset,
-    lp_oracle,
     ot_rewards_single,
     pad_measure,
     pairwise_costs,
@@ -35,6 +34,7 @@ from otreward.dataset_io import EpisodicDataset
 from otreward.labeler import ScaleMode
 
 from conftest import make_episode, random_cost_instance
+from lp_oracle import lp_oracle
 
 PLAIN = LabelConfig.plain_preset()
 

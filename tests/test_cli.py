@@ -226,6 +226,23 @@ def test_diagnose_episode_without_rewards_names_its_file(tmp_path, capsys, missi
     assert not out.exists()
 
 
+def test_diagnose_overflowing_return_is_a_data_error(tmp_path, rng, capsys):
+    labeled = _reward_file(tmp_path, rng, "l.jsonl", {"a": [1.0], "big": [1e308, 1e308]})
+    truth = _reward_file(tmp_path, rng, "t.jsonl", {"a": [1.0], "big": [2.0]})
+    out = tmp_path / "d.csv"
+    assert main(["diagnose", str(labeled), str(truth), str(out)]) == 3
+    assert "episode 'big' has a return that is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_experts_overflowing_return_is_a_data_error(tmp_path, rng, capsys):
+    path = _reward_file(tmp_path, rng, "ds.jsonl", {"a": [1.0], "big": [1e308, 1e308]})
+    out = tmp_path / "o.jsonl"
+    assert main(["select-experts", str(path), str(out), "--k", "1"]) == 3
+    assert "episode 'big' has a return that is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_demo_gridworld_truth_small(tmp_path, capsys):
     path = tmp_path / "small.gridworld"
     path.write_text("width = 4\nheight = 4\nstart = 0,0\ngoal = 3,3\n"
@@ -448,12 +465,20 @@ def test_every_error_exits_with_its_documented_code(monkeypatch, capsys):
         assert "boom" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # Only the LP oracle needs scipy.optimize, which dominates import time.
+def test_commands_run_without_scipy(tmp_path, rng):
+    # scipy is a test dependency only: importing the package and running
+    # diagnose and demo-gridworld (both compute correlations) load none of it.
+    path = _reward_file(tmp_path, rng, "r.jsonl", {"a": [1.0], "b": [3.0], "c": [2.0]})
     src = str(Path(otreward.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, otreward.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, otreward, otreward.cli\n"
+        f"assert otreward.cli.main(['diagnose', {str(path)!r}, {str(path)!r}, "
+        f"{str(tmp_path / 'd.csv')!r}]) == 0\n"
+        "assert otreward.cli.main(['demo-gridworld']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from otreward import (
     EpisodicDataset,
@@ -308,3 +309,46 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_old_output(tmp_path):
         dataset_io._atomic_write(path, write)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_return_correlations_match_scipy():
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for ties in (False, True):
+        for n in (2, 3, 4, 7, 20, 100, 300):
+            for _ in range(10):
+                if ties:
+                    x = rng.integers(0, 5, size=n).astype(float)
+                    y = x + rng.integers(-2, 3, size=n)
+                else:
+                    x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+                    y = 0.5 * x + rng.normal(size=n)
+                pearson, spearman, degenerate = dataset_io.return_correlations(x, y)
+                if x.min() == x.max() or y.min() == y.max():
+                    assert (pearson, spearman, degenerate) == (0.0, 0.0, True)
+                    continue
+                assert not degenerate
+                assert abs(pearson - stats.pearsonr(x, y).statistic) <= 1e-12
+                assert abs(spearman - stats.spearmanr(x, y).statistic) <= 1e-12
+                compared += 1
+    assert compared >= 130
+
+
+def test_return_correlations_of_returns_near_the_float_limit():
+    # The mean of these finite values overflows unless each side is scaled first.
+    huge = dataset_io.return_correlations([1e308, 1e308, -1e308], [1.0, 2.0, 3.0])
+    unit = dataset_io.return_correlations([1.0, 1.0, -1.0], [1.0, 2.0, 3.0])
+    assert huge[:2] == pytest.approx(unit[:2], abs=1e-15)
+    assert huge[2] is unit[2] is False
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0], [2.0]),
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]),
+    ([1.0, np.inf, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [-np.inf, 2.0, 3.0]),
+    ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0]),
+], ids=["length-1", "constant-x", "constant-y", "inf-x", "minus-inf-y", "nan"])
+def test_return_correlations_degenerate(x, y):
+    assert dataset_io.return_correlations(x, y) == (0.0, 0.0, True)

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports or keeps private is used in it.
+"""Every name a module of the package imports or keeps private is used in it,
+and no module imports scipy.
 
 No linter ships with the project, so this walks each module's syntax tree.
-__init__.py is left out: its imports are the package's re-exports, and
-every name it exports must resolve.
+__init__.py is left out of the usage checks: its imports are the package's
+re-exports, and every name it exports must resolve.
 """
 
 import ast
@@ -63,6 +64,29 @@ def test_unread_private_names_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_name(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages that source imports by absolute name, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_packages_finds_nested_imports():
+    source = "import os.path\nfrom . import x\ndef f():\n    from scipy.stats import t\n"
+    assert imported_packages(source) == {"os", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(otreward.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_scipy(path):
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
 def test_every_export_resolves():

@@ -136,6 +136,13 @@ def test_return_without_rewards_is_a_data_error():
         Trajectory(observations=np.ones((2, 3)), id="bare").episodic_return()
 
 
+@pytest.mark.parametrize("rewards", [[1e308, 1e308], [1.0, np.inf]], ids=["overflow", "inf"])
+def test_return_that_is_not_finite_is_a_data_error(rewards):
+    ep = Trajectory(observations=np.ones((2, 3)), rewards=rewards, id="big")
+    with pytest.raises(DataError, match="episode 'big' has a return that is not finite"):
+        ep.episodic_return()
+
+
 def test_measure_invariants_enforced():
     with pytest.raises(ValueError):
         WeightedMeasure(points=[[1.0]], weights=[-1.0])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from otreward import CostKind, SinkhornParams, lp_oracle, sinkhorn
+from otreward import CostKind, SinkhornParams, sinkhorn
 from otreward.solver import _BLOCK, _KERNEL_SUM_MIN, _half_step, _sinkhorn_active
 from otreward.errors import DimensionMismatch, NumericError
 
 from conftest import random_cost_instance
+from lp_oracle import lp_oracle
 
 
 def uniform(n):
@@ -371,6 +372,9 @@ def test_params_validation():
     with pytest.raises(ValueError, match="max_iterations must be an integer, got 1.5"):
         SinkhornParams(max_iterations=1.5)
     assert SinkhornParams(max_iterations=np.int64(7)).max_iterations == 7
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"max_iterations must be an integer, got {bad}"):
+            SinkhornParams(max_iterations=bad)
     with pytest.raises(ValueError):
         SinkhornParams(marginal_tolerance=0.0)
     for bad in (float("nan"), float("inf")):
