@@ -87,15 +87,16 @@ class Gridworld:
             return (nx, ny)
         return cell
 
-    def observation(self, cell: tuple[int, int]) -> np.ndarray:
-        """Feature vector (x, y scaled to [0, 1], constant 1).
+    def observation(self, cell) -> np.ndarray:
+        """Feature vector (x, y scaled to [0, 1], constant 1); rows of them for arrays of x and y.
 
         The trailing 1 keeps every feature vector away from the zero
-        vector, where the cosine distance would be degenerate.
+        vector, where the cosine distance would be degenerate. On a grid one
+        cell wide (or high), x (or y) is 0, and so is its feature.
         """
-        x = cell[0] / (self.width - 1) if self.width > 1 else 0.0
-        y = cell[1] / (self.height - 1) if self.height > 1 else 0.0
-        return np.array([x, y, 1.0])
+        x = np.divide(cell[0], max(self.width - 1, 1))
+        y = np.divide(cell[1], max(self.height - 1, 1))
+        return np.stack([x, y, np.ones_like(x)], axis=-1)
 
     def state(self, cell):
         """Index x * height + y of cell (x, y); elementwise for arrays of x and y."""
@@ -148,7 +149,7 @@ def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
         cells.append(cell)
     at_goal = np.array([c == env.goal for c in cells])
     return Trajectory(
-        observations=np.array([env.observation(c) for c in cells]),
+        observations=env.observation(np.array(cells).T),
         actions=np.array([[float(a)] for a in actions]) if actions else None,
         rewards=_move_rewards(env, at_goal),
         terminals=at_goal,

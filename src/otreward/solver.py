@@ -10,13 +10,15 @@ below the smallest normal float are stored as 0, since x86 takes a slow
 path on subnormal operands and such an entry lies far below the last bit of
 any kernel sum of at least _KERNEL_SUM_MIN. The iterates are the textbook
 ones. Every guard is still decided on every iteration, once per block of
-iterations: the underflow test exactly, and the stop rule after an
-L-infinity screen that passes every iteration whose plan could meet the
-tolerance.
+iterations: the underflow test exactly, by one minimum over the block, and
+the stop rule after an L-infinity screen that passes every iteration whose
+plan could meet the tolerance. The loop calls ndarray.dot: np.dot's C
+routine without its __array_function__ dispatch, so the same bits.
 
 Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
-unpadded problems produce identical couplings on the shared support.
+unpadded problems produce identical couplings on the shared support; with
+no padding the solve runs on the cost itself, uncopied.
 """
 
 from __future__ import annotations
@@ -105,18 +107,20 @@ def _solve_on_support(cost, a, b, solve) -> Coupling:
     returns (plan, iterations, converged). Zero-weight rows and columns of
     the full plan are exactly zero.
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = np.ascontiguousarray(cost, dtype=np.float64)  # row-major, as a support copy is
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _validate_instance(cost, a, b)
 
-    rows = a > 0
-    cols = b > 0
-    sub = cost[np.ix_(rows, cols)]
+    rows, cols = a > 0, b > 0
+    full = rows.all() and cols.all()  # as always when labeling: no copy, no scatter back
+    sub = cost if full else cost[np.ix_(rows, cols)]
     plan_sub, iterations, converged = solve(sub, a[rows], b[cols])
 
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = plan_sub
+    plan = plan_sub
+    if not full:
+        plan = np.zeros_like(cost)
+        plan[np.ix_(rows, cols)] = plan_sub
     # Summed over the active block only, so padding a problem with
     # zero-weight rows/columns leaves the reported cost bit-identical.
     transport_cost = float((plan_sub * sub).sum())
@@ -168,13 +172,15 @@ def _sinkhorn_active(
     scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is
     the textbook pair u = log a - logsumexp(K + v), v = log b - logsumexp(K + u).
 
-    Blocks of _BLOCK plain updates keep their iterates in rows of SU, RS, CS,
-    SV; every guard is then decided for every iteration, in order. The
-    underflow test is exact, as a minimum ignores summation order; the
+    Blocks of at most _BLOCK plain updates keep their iterates in rows of SU,
+    RS, CS, SV; every guard is then decided for every iteration, in order. The
+    underflow test is exact, as a minimum ignores summation order: one minimum
+    over the block's RS | CS buffer, then a row search only if it fires. The
     L-infinity plan check runs where the matvec row residual is within tol
     plus slack. A candidate that fails it with an identical next iterate is a
     fixpoint: every later iteration repeats it, so it is the capped result.
-    Rows after the first underflow are dropped; its half-steps rerun.
+    Rows after the first underflow are dropped; its half-steps rerun. Blocks
+    are cut where the last one's residual decay predicts tol; no iterate moves.
     """
     tol = params.marginal_tolerance
     K = -C / params.epsilon
@@ -182,8 +188,9 @@ def _sinkhorn_active(
     g, sv = np.zeros(len(b)), np.ones(len(b))
     G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
     G[G < _KERNEL_ENTRY_MIN] = 0
-    SU, RS = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK, len(a)))
-    SV, CS = np.empty((_BLOCK + 1, len(b))), np.empty((_BLOCK, len(b)))
+    SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
+    SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
+    RS, CS = SUMS[:, :len(a)], SUMS[:, len(a):]
     steps = list(zip(SV, RS, SU[1:], CS, SV[1:]))
     # The matvec and plan row sums reach the row mass su_i * sum_j G_ij sv_j
     # through len(b) + 1 roundings each, so in any summation order they differ
@@ -191,34 +198,40 @@ def _sinkhorn_active(
     # that passes the plan check has mass <= a.max() + tol. The factor 2 on top
     # covers rounding the residuals and tol + slack: no passing plan is skipped.
     slack = 4 * len(b) * np.finfo(np.float64).eps * (a.max() + tol)
-    it = 0
+    it, k = 0, _BLOCK
     while it < params.max_iterations:
-        k = min(_BLOCK, params.max_iterations - it)
+        k = min(k, params.max_iterations - it)
         SU[0], SV[0] = su, sv
         with np.errstate(all="ignore"):  # past an underflow the rows are discarded
             for sv0, rs, su1, cs, sv1 in steps[:k]:
-                np.dot(G, sv0, out=rs)
-                np.divide(a, rs, out=su1)
-                np.dot(su1, G, out=cs)
-                np.divide(b, cs, out=sv1)
-            low = np.flatnonzero((RS[:k].min(axis=1) < _KERNEL_SUM_MIN)
-                                 | (CS[:k].min(axis=1) < _KERNEL_SUM_MIN))
-        done = int(low[0]) + 1 if len(low) else k
+                G.dot(sv0, rs)
+                np.divide(a, rs, su1)
+                su1.dot(G, cs)
+                np.divide(b, cs, sv1)
+            # Rows past an underflow may hold NaN, which fails every comparison.
+            low = not SUMS[:k].min() >= _KERNEL_SUM_MIN
+            done = int(np.argmin(SUMS[:k].min(axis=1) >= _KERNEL_SUM_MIN)) + 1 if low else k
         R = np.abs(SU[:done] * RS[:done] - a).max(axis=1)
-        for j in np.flatnonzero(R <= tol + slack):
-            if it + j > 0:
-                plan = SU[j][:, None] * G * SV[j]
-                if (np.abs(plan.sum(axis=1) - a).max() <= tol
-                        and np.abs(plan.sum(axis=0) - b).max() <= tol):
-                    return plan, it + int(j) + 1, True
-                if (j + 1 < done and np.array_equal(SU[j + 1], SU[j])
-                        and np.array_equal(SV[j + 1], SV[j])):
-                    return plan, params.max_iterations, False
+        if R.min() <= tol + slack:
+            for j in np.flatnonzero(R <= tol + slack):
+                if it + j > 0:
+                    plan = SU[j][:, None] * G * SV[j]
+                    if (np.abs(plan.sum(axis=1) - a).max() <= tol
+                            and np.abs(plan.sum(axis=0) - b).max() <= tol):
+                        return plan, it + int(j) + 1, True
+                    if (j + 1 < done and np.array_equal(SU[j + 1], SU[j])
+                            and np.array_equal(SV[j + 1], SV[j])):
+                        return plan, params.max_iterations, False
         su, sv = SU[done], SV[done]
-        if len(low):
+        if low:
             f, su, g, sv = _half_step(K, G, RS[done - 1], a, f, g, SV[done - 1])
             g, sv, f, su = _half_step(K.T, G.T, np.dot(su, G), b, g, f, su)
         it += done
+        k = _BLOCK  # unless R, falling geometrically from r0 to r1, should meet tol sooner
+        r0, r1 = float(R[0]), float(R[-1])
+        if not low and done > 1 and tol < r1 and r1 * r1 < tol * r0:
+            rate = (math.log(r1) - math.log(r0)) / (done - 1)
+            k = min(_BLOCK, 1 + math.ceil((math.log(tol) - math.log(r1)) / rate))
     return su[:, None] * G * sv, it, False
 
 

@@ -209,6 +209,18 @@ def _oracle_instance(seed, kind, dim, max_rows=65):
     return random_cost_instance(rng, rows, cols, dim=dim, cost=kind)
 
 
+def _far_column_instance():
+    """Uniform weights, costs drawn from U(0, 1), and one column that costs 10 from every row.
+
+    At eps = 0.01 that column's kernel entries are all 0, so the first column
+    sum is exactly 0: its scaling is inf, and every later row of the first
+    block holds NaN sums, which fail every comparison.
+    """
+    rng = np.random.default_rng(404)
+    C = np.hstack([rng.uniform(size=(9, 6)), np.full((9, 1), 10.0)])
+    return C, np.full(9, 1 / 9), np.full(7, 1 / 7)
+
+
 # (instance, params, reference converges?). The squared-Euclidean and
 # eps = 0.001 instances send half-steps to the log domain mid-block; the
 # 1x1 instance passes the screen at iteration 0, which never decides; the
@@ -244,6 +256,9 @@ BLOCK_ORACLE_CASES = [
     for k in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1)
     for kind in (CostKind.COSINE, CostKind.SQUARED_EUCLIDEAN)
     for seed in (500, 502)
+] + [
+    pytest.param(_far_column_instance(), SinkhornParams(epsilon=0.01), True,
+                 id="underflow-then-nan"),
 ]
 
 
@@ -354,6 +369,28 @@ def test_zero_weight_rows_masked(rng, solve):
     assert np.all(wide.plan[6:] == 0.0)
     assert np.array_equal(wide.plan[:6], base.plan)
     assert wide.transport_cost == base.transport_cost
+
+
+# The squared-Euclidean solve runs log-domain half-steps; the 100x100 one is capped.
+@pytest.mark.parametrize("instance, params", [
+    pytest.param(_oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14),
+                 SinkhornParams(epsilon=0.01), id="squared-euclidean-log-domain"),
+    pytest.param(random_cost_instance(np.random.default_rng(7), 100, 100, dim=8),
+                 SinkhornParams(), id="capped-100x100"),
+])
+def test_full_support_matches_padded_support(instance, params):
+    # Full support skips the support copy; padding takes it. A column-major
+    # cost must solve as its row-major copy does, or sums change their bits.
+    C, a, b = instance
+    full = sinkhorn(C, a, b, params)
+    padded = sinkhorn(np.pad(C, ((0, 2), (0, 1)), constant_values=0.5),
+                      np.append(a, [0.0, 0.0]), np.append(b, 0.0), params)
+    fortran = sinkhorn(np.asfortranarray(C), a, b, params)
+    assert not padded.plan[len(a):].any() and not padded.plan[:, len(b):].any()
+    for other in (padded, fortran):
+        assert np.array_equal(other.plan[:len(a), :len(b)], full.plan)
+        assert ((other.iterations, other.converged, other.transport_cost)
+                == (full.iterations, full.converged, full.transport_cost))
 
 
 def test_nonconvergence_is_reported_not_fatal(rng):
