@@ -28,10 +28,10 @@ from .labeler import (LABEL_KEYS, PRESETS, LabelConfig, ScaleMode, label_dataset
 from .measures import FeatureMode
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
+# The exit code of each error category main catches, in the order it tests them.
+EXIT_CODES: dict[type[Exception], int] = {errors.DataError: 3, errors.NumericError: 4,
+                                          errors.DataIoError: 5, OSError: 5, ValueError: 2}
+
 
 def _build_label_config(args: argparse.Namespace) -> LabelConfig:
     """The preset's settings with every flag the user set applied on top."""
@@ -47,15 +47,13 @@ def cmd_label(args: argparse.Namespace) -> int:
     unlabeled = read_dataset(args.unlabeled)
     experts = read_dataset(args.experts)
     labeled = label_dataset(unlabeled.episodes, experts.episodes, cfg, workers=workers)
+    rets = [lt.episodic_return() for lt in labeled]
     write_labeled(args.out, labeled)
     elapsed = time.perf_counter() - started
     print(f"episodes labeled = {len(labeled)}")
-    if labeled:
-        rets = [lt.episodic_return() for lt in labeled]
-        print(
-            f"episodic OT return: mean = {sum(rets) / len(rets):.6g}, "
-            f"min = {min(rets):.6g}, max = {max(rets):.6g}"
-        )
+    if rets:
+        print(f"episodic OT return: mean = {sum(rets) / len(rets):.6g}, "
+              f"min = {min(rets):.6g}, max = {max(rets):.6g}")
     print(f"wall time = {elapsed:.2f} s")
     return EXIT_OK
 
@@ -187,22 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except errors.DataError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except errors.NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (errors.DataIoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entry_point() -> None:  # pragma: no cover - thin wrapper

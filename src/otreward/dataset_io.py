@@ -18,6 +18,7 @@ so a failed run never leaves a partial output behind.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -42,20 +43,24 @@ class EpisodicDataset:
     episodes: list[Trajectory]
 
     def __post_init__(self):
-        _check_consistent_dims(self.episodes)
+        expected: dict[str, int] = {}
+        for ep in self.episodes:
+            for dim, name in ((ep.obs_dim, "observation"), (ep.action_dim, "action")):
+                if dim is not None and expected.setdefault(name, dim) != dim:
+                    raise DimensionMismatch(
+                        f"episode {ep.id!r} has {name} dim {dim}, expected {expected[name]}"
+                    )
 
     def __len__(self) -> int:
         return len(self.episodes)
 
 
-def _check_consistent_dims(episodes: list[Trajectory]) -> None:
-    expected: dict[str, int] = {}
-    for ep in episodes:
-        for dim, name in ((ep.obs_dim, "observation"), (ep.action_dim, "action")):
-            if dim is not None and expected.setdefault(name, dim) != dim:
-                raise DimensionMismatch(
-                    f"episode {ep.id!r} has {name} dim {dim}, expected {expected[name]}"
-                )
+def _holds_boolean(value: object, depth: int) -> bool:
+    """Whether a JSON value nested depth lists deep holds a boolean at the bottom."""
+    values = [value]
+    for _ in range(depth):
+        values = itertools.chain.from_iterable(values)
+    return bool in map(type, values)
 
 
 def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
@@ -81,6 +86,10 @@ def _parse_record(rec: dict, line_no: int, index: int) -> Trajectory:
     for key, arr in numbers.items():
         if not np.isfinite(arr).all():
             raise DataError(f"line {line_no}: {key} contain NaN or infinity")
+        # A list mixing numbers and booleans reads true as 1 and false as 0, so
+        # only an array holding an exact 0 or 1 has its JSON values walked.
+        if ((arr == 0) | (arr == 1)).any() and _holds_boolean(rec[key], arr.ndim):
+            raise ParseError(line_no, f"{key!r} must hold numbers, got a boolean")
 
     terminals = None
     if rec.get("terminals") is not None:
@@ -152,18 +161,11 @@ def _atomic_write(path: str | os.PathLike, write: Callable[[TextIO], object]) ->
         raise DataIoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_lines(path: str | os.PathLike, lines: list[str]) -> None:
-    _atomic_write(path, lambda fh: fh.writelines(f"{line}\n" for line in lines))
-
-
 def _traj_record(ep: Trajectory) -> dict:
     rec: dict = {"id": ep.id, "observations": ep.observations.tolist()}
-    if ep.actions is not None:
-        rec["actions"] = ep.actions.tolist()
-    if ep.rewards is not None:
-        rec["rewards"] = ep.rewards.tolist()
-    if ep.terminals is not None:
-        rec["terminals"] = ep.terminals.tolist()
+    for key in ("actions", "rewards", "terminals"):
+        if getattr(ep, key) is not None:
+            rec[key] = getattr(ep, key).tolist()
     if ep.source_expert is not None:
         rec["source_expert"] = ep.source_expert
     return rec
@@ -171,7 +173,8 @@ def _traj_record(ep: Trajectory) -> dict:
 
 def write_dataset(path: str | os.PathLike, dataset: EpisodicDataset) -> None:
     """Write episodes in order, one JSON record per line."""
-    _write_lines(path, [json.dumps(_traj_record(ep)) for ep in dataset.episodes])
+    lines = [f"{json.dumps(_traj_record(ep))}\n" for ep in dataset.episodes]
+    _atomic_write(path, lambda fh: fh.writelines(lines))
 
 
 def write_labeled(path: str | os.PathLike, dataset: list[LabeledTrajectory]) -> None:

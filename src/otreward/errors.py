@@ -9,7 +9,8 @@ fault raises its exit-code category with a message that says what failed:
 - NumericError (CLI exit 4): input a numeric routine cannot compute on, such
   as a non-finite cost matrix or reward vector, marginals that are negative
   or do not sum to one, a padding target shorter than the measure, or equal
-  episodic returns under return-range rescaling.
+  episodic returns under return-range rescaling; and results that are not
+  finite, such as labels or a labeled episodic return that overflow.
 - DataIoError (CLI exit 5): reading or writing a file failed at the OS level.
 """
 

@@ -8,9 +8,9 @@ matrix, solve for the optimal coupling, and read off per-step rewards
 so the rewards of an episode always sum to minus its transport cost. With
 several demonstrations the episode is aligned against each independently
 and the one yielding the best episodic return wins. Raw rewards are
-nonpositive; an exponential squash maps them into (0, alpha], and an
-optional dataset-level rescale or shift runs last. PRESETS holds the
-paper's squash settings by name.
+nonpositive; an exponential squash maps them into (0, alpha] when its
+exponent is nonnegative, and an optional dataset-level rescale or shift
+runs last. PRESETS holds the paper's squash settings by name.
 
 Baselines: a uniform transport plan (every step spread equally over the
 demonstration; label_dataset with plan_rewards=uniform_plan_rewards) and
@@ -31,7 +31,8 @@ import numpy as np
 
 from .costs import CostKind, pairwise_costs
 from .errors import DataError, NumericError
-from .measures import FeatureMode, Trajectory, trajectory_to_measure
+from .measures import (FeatureMode, Trajectory, finite_return, store_step_vector,
+                       trajectory_to_measure)
 from .solver import Coupling, SinkhornParams, sinkhorn
 
 
@@ -218,7 +219,8 @@ class LabeledTrajectory:
     adjust them further). raw_ot_rewards are the nonpositive pre-squash
     alignment rewards when the labels came from a transport plan (optimal
     or uniform); UDS leaves them None. source_expert is the index of the
-    winning demonstration, None for UDS.
+    winning demonstration, None for UDS. Labels that are not finite raise
+    NumericError, so every label written can be read back.
     """
 
     base: Trajectory
@@ -227,37 +229,29 @@ class LabeledTrajectory:
     source_expert: int | None = None
 
     def __post_init__(self):
-        rew = np.asarray(self.ot_rewards, dtype=np.float64)
-        if rew.shape != (self.base.length,):
-            raise ValueError(
-                f"ot_rewards must have length {self.base.length}, got {rew.shape}"
-            )
-        object.__setattr__(self, "ot_rewards", rew)
+        store_step_vector(self, "ot_rewards", self.base.length)
+        if not np.isfinite(self.ot_rewards).all():
+            raise NumericError(f"episode {self.base.id!r} has labels that are not finite")
         if self.raw_ot_rewards is not None:
-            raw = np.asarray(self.raw_ot_rewards, dtype=np.float64)
-            if raw.shape != rew.shape:
-                raise ValueError("raw_ot_rewards must match ot_rewards in length")
-            object.__setattr__(self, "raw_ot_rewards", raw)
+            store_step_vector(self, "raw_ot_rewards", self.base.length)
 
     def episodic_return(self) -> float:
-        return float(self.ot_rewards.sum())
+        """Sum of the labels; raises NumericError if the sum is not finite."""
+        return finite_return(self.ot_rewards, self.base.id, NumericError)
 
-    def with_rewards(self, rewards: np.ndarray) -> "LabeledTrajectory":
-        return LabeledTrajectory(
-            base=self.base,
-            ot_rewards=rewards,
-            raw_ot_rewards=self.raw_ot_rewards,
-            source_expert=self.source_expert,
-        )
+
+def _pair_costs(unlabeled: Trajectory, expert: Trajectory, cfg: LabelConfig) -> tuple:
+    """Both episodes' measures and the pairwise cost matrix between them."""
+    mu = trajectory_to_measure(unlabeled, cfg.features)
+    me = trajectory_to_measure(expert, cfg.features)
+    return mu, me, pairwise_costs(mu, me, cfg.cost)
 
 
 def ot_rewards_single(
     unlabeled: Trajectory, expert: Trajectory, cfg: LabelConfig
 ) -> tuple[np.ndarray, Coupling]:
     """Raw per-step rewards of one episode against one demonstration."""
-    mu = trajectory_to_measure(unlabeled, cfg.features)
-    me = trajectory_to_measure(expert, cfg.features)
-    C = pairwise_costs(mu, me, cfg.cost)
+    mu, me, C = _pair_costs(unlabeled, expert, cfg)
     coupling = sinkhorn(C, mu.weights, me.weights, cfg.sinkhorn)
     raw = -(C * coupling.plan).sum(axis=1)
     return raw, coupling
@@ -302,7 +296,8 @@ def squash(raw: np.ndarray, cfg: LabelConfig) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(raw).all():
         raise NumericError("rewards handed to squash contain NaN or infinities")
-    return cfg.squash_alpha * np.exp(cfg.squash_exponent() * raw)
+    with np.errstate(over="ignore"):  # LabeledTrajectory rejects infinite labels
+        return cfg.squash_alpha * np.exp(cfg.squash_exponent() * raw)
 
 
 def post_scale_rewards(
@@ -319,8 +314,10 @@ def post_scale_rewards(
         if spread <= 0:
             raise NumericError("all episodic returns are equal; range rescaling is undefined")
         factor = mode.value / spread
-        return [lt.with_rewards(lt.ot_rewards * factor) for lt in dataset]
-    return [lt.with_rewards(lt.ot_rewards + mode.value) for lt in dataset]
+    with np.errstate(over="ignore"):  # LabeledTrajectory rejects infinite labels
+        if mode.kind is PostScaleKind.RETURN_RANGE:
+            return [replace(lt, ot_rewards=lt.ot_rewards * factor) for lt in dataset]
+        return [replace(lt, ot_rewards=lt.ot_rewards + mode.value) for lt in dataset]
 
 
 def _label_one(
@@ -330,12 +327,8 @@ def _label_one(
     plan_rewards: PlanRewards,
 ) -> LabeledTrajectory:
     raw, best = aggregate_over_experts(episode, experts, cfg, plan_rewards)
-    return LabeledTrajectory(
-        base=episode,
-        ot_rewards=squash(raw, cfg),
-        raw_ot_rewards=raw,
-        source_expert=best,
-    )
+    return LabeledTrajectory(base=episode, ot_rewards=squash(raw, cfg), raw_ot_rewards=raw,
+                             source_expert=best)
 
 
 def resolve_workers(workers: int) -> int:
@@ -387,11 +380,8 @@ def uniform_plan_rewards(
     Every step is transported equally to every demonstration step, so the
     reward reduces to minus the average cost row, scaled by the step mass.
     """
-    mu = trajectory_to_measure(unlabeled, cfg.features)
-    me = trajectory_to_measure(expert, cfg.features)
-    C = pairwise_costs(mu, me, cfg.cost)
-    T, Tp = C.shape
-    return -(C * (1.0 / (T * Tp))).sum(axis=1)
+    C = _pair_costs(unlabeled, expert, cfg)[2]
+    return -(C * (1.0 / C.size)).sum(axis=1)
 
 
 def uds_rewards(

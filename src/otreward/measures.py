@@ -26,6 +26,23 @@ class FeatureMode(Enum):
     STATE_ACTION = "state-action"
 
 
+def store_step_vector(obj: object, name: str, length: int, dtype: type = np.float64) -> None:
+    """Set frozen obj.name to a dtype array of shape (length,), else DimensionMismatch."""
+    vec = np.asarray(getattr(obj, name), dtype=dtype)
+    if vec.shape != (length,):
+        raise DimensionMismatch(f"{name} must have length {length}, got shape {vec.shape}")
+    object.__setattr__(obj, name, vec)
+
+
+def finite_return(rewards: np.ndarray, ep_id: str, error: type[Exception]) -> float:
+    """Sum of an episode's rewards; raises error if the sum is not finite."""
+    with np.errstate(over="ignore"):
+        total = float(rewards.sum())
+    if not math.isfinite(total):
+        raise error(f"episode {ep_id!r} has a return that is not finite: {total}")
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One episode: observations plus optional actions, rewards, terminals.
@@ -61,19 +78,9 @@ class Trajectory:
                 )
             object.__setattr__(self, "actions", acts)
         if self.rewards is not None:
-            rew = np.asarray(self.rewards, dtype=np.float64)
-            if rew.shape != (T,):
-                raise DimensionMismatch(
-                    f"rewards must have length T={T}, got shape {rew.shape}"
-                )
-            object.__setattr__(self, "rewards", rew)
+            store_step_vector(self, "rewards", T)
         if self.terminals is not None:
-            term = np.asarray(self.terminals, dtype=bool)
-            if term.shape != (T,):
-                raise DimensionMismatch(
-                    f"terminals must have length T={T}, got shape {term.shape}"
-                )
-            object.__setattr__(self, "terminals", term)
+            store_step_vector(self, "terminals", T, dtype=bool)
 
     @property
     def length(self) -> int:
@@ -91,11 +98,7 @@ class Trajectory:
         """Sum of stored rewards; raises DataError if there are none or the sum is not finite."""
         if self.rewards is None:
             raise DataError(f"episode {self.id!r} has no rewards")
-        with np.errstate(over="ignore"):
-            total = float(self.rewards.sum())
-        if not math.isfinite(total):
-            raise DataError(f"episode {self.id!r} has a return that is not finite: {total}")
-        return total
+        return finite_return(self.rewards, self.id, DataError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +114,17 @@ class WeightedMeasure:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
         if pts.ndim != 2:
             raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
-        if w.shape != (pts.shape[0],):
-            raise DimensionMismatch(
-                f"weights must have length {pts.shape[0]}, got shape {w.shape}"
-            )
+        object.__setattr__(self, "points", pts)
+        store_step_vector(self, "weights", pts.shape[0])
+        w = self.weights
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -157,8 +156,7 @@ def trajectory_to_measure(traj: Trajectory, features: FeatureMode) -> WeightedMe
         points = np.hstack([traj.observations, acts])
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown feature mode {features!r}")
-    weights = np.full(T, 1.0 / T)
-    return WeightedMeasure(points=points, weights=weights)
+    return WeightedMeasure(points=points, weights=np.full(T, 1.0 / T))
 
 
 def pad_measure(m: WeightedMeasure, target_len: int) -> WeightedMeasure:
@@ -170,8 +168,6 @@ def pad_measure(m: WeightedMeasure, target_len: int) -> WeightedMeasure:
     n = len(m)
     if target_len < n:
         raise NumericError(f"target length {target_len} < measure length {n}")
-    if target_len == n:
-        return WeightedMeasure(points=m.points, weights=m.weights)
     extra = target_len - n
     points = np.vstack([m.points, np.zeros((extra, m.dim))])
     weights = np.concatenate([m.weights, np.zeros(extra)])

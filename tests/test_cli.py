@@ -84,6 +84,22 @@ def test_label_numeric_failure_exit_code(tmp_path, rng, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1e308", "--post-scale", "return-range"],
+    ["--beta", "-100000"],
+    ["--alpha", "1e308"],
+], ids=["alpha-return-range", "beta-overflow", "alpha"])
+def test_label_that_is_not_finite_exits_numeric_and_writes_nothing(small_files, tmp_path,
+                                                                   capsys, flags):
+    # Each run's labels or returns overflow; reading such a file back would fail.
+    upath, epath = small_files
+    out = tmp_path / "out.jsonl"
+    assert main(["label", str(upath), str(epath), str(out), "--preset", "plain", *flags]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "episode 'u" in err and "not finite" in err
+
+
 def test_label_never_leaves_partial_output(small_files, tmp_path):
     upath, epath = small_files
     out = tmp_path / "no_such_dir" / "out.jsonl"

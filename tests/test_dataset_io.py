@@ -110,15 +110,24 @@ NUMBER_FIELDS = {"observations": [[1, 2], [3, 4]], "actions": [[0.5], [1.5]], "r
 
 
 @pytest.mark.parametrize("key", NUMBER_FIELDS)
-@pytest.mark.parametrize("value", ["1", True, 2**70, None],
-                         ids=["string", "boolean", "beyond-64-bits", "null"])
+@pytest.mark.parametrize("value", ["1", True, 2**70, None, [True], [False]],
+                         ids=["string", "boolean", "beyond-64-bits", "null",
+                              "true-among-numbers", "false-among-numbers"])
 def test_non_number_values_name_the_line(tmp_path, key, value):
+    # A scalar fills the whole field; a one-item list replaces only its last
+    # entry, where numpy would read the boolean as the number 0 or 1.
+    values = np.array(NUMBER_FIELDS[key], dtype=object)
+    if isinstance(value, list):
+        values.flat[-1] = value[0]
+    else:
+        values.fill(value)
     path = tmp_path / "values.jsonl"
-    bad = {**NUMBER_FIELDS, key: np.full(np.shape(NUMBER_FIELDS[key]), value).tolist()}
+    bad = {**NUMBER_FIELDS, key: values.tolist()}
     path.write_text(f"{json.dumps(NUMBER_FIELDS)}\n{json.dumps(bad)}\n")
     with pytest.raises(ParseError) as exc:
         read_dataset(path)
     assert exc.value.line_number == 2
+    assert repr(key) in str(exc.value)
 
 
 @pytest.mark.parametrize("value", ["true", "false", "1.0", "0.5", '"x"', '"1"', "-3", "[1]"],

@@ -89,5 +89,44 @@ def test_module_imports_no_scipy(path):
     assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
+# Each module imports only modules to its left, so the package has no cycle.
+LAYERS = ["errors", "measures", "costs", "solver", "labeler", "dataset_io", "gridworld", "cli"]
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that source imports, by relative or absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"otreward.{module}".rstrip(".")
+            # "from . import x" and "from otreward import x" may name a module.
+            paths = [module, *(f"{module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        names.update(p.split(".")[1] for p in paths if p.startswith("otreward."))
+    return names
+
+
+def test_package_imports_finds_relative_and_absolute_imports():
+    source = ("from . import errors\nfrom .measures import x\nimport os\n"
+              "import otreward.costs\nfrom otreward import solver\ndef f():\n"
+              "    from .cli import main\n")
+    assert package_imports(source) == {"errors", "measures", "costs", "solver", "cli"}
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_earlier_layers(path):
+    earlier = LAYERS[:LAYERS.index(path.stem)]
+    assert sorted(package_imports(path.read_text(encoding="utf-8")) - set(earlier)) == []
+
+
 def test_every_export_resolves():
     assert [name for name in otreward.__all__ if not hasattr(otreward, name)] == []

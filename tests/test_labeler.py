@@ -21,7 +21,7 @@ from otreward import (
     uds_rewards,
     uniform_plan_rewards,
 )
-from otreward.errors import DataError, NumericError
+from otreward.errors import DataError, DimensionMismatch, NumericError
 from otreward.labeler import resolve_workers
 
 from conftest import make_episode
@@ -179,6 +179,33 @@ def test_post_scale_shift():
     data = [_labeled([1.0, 2.5])]
     out = post_scale_rewards(data, PostScale.shift(-2.0))
     assert out[0].ot_rewards.tolist() == [-1.0, 0.5]
+
+
+@pytest.mark.parametrize("field", ["ot_rewards", "raw_ot_rewards"])
+def test_labeled_length_mismatch_names_the_field(field):
+    base = Trajectory(observations=np.ones((3, 1)), id="short")
+    labels = {"ot_rewards": np.zeros(3), "raw_ot_rewards": np.zeros(3), field: np.zeros(2)}
+    with pytest.raises(DimensionMismatch, match=f"^{field} must have length 3, got shape"):
+        LabeledTrajectory(base=base, **labels)
+
+
+@pytest.mark.parametrize("labels", [[1.0, np.inf], [np.nan, 1.0]], ids=["inf", "nan"])
+def test_labels_that_are_not_finite_are_numeric_errors(labels):
+    with pytest.raises(NumericError, match="episode 'bad' has labels that are not finite"):
+        _labeled(labels, ep_id="bad")
+
+
+def test_labeled_return_that_overflows_is_a_numeric_error():
+    with pytest.raises(NumericError, match="episode 'big' has a return that is not finite"):
+        _labeled([1e308, 1e308], ep_id="big").episodic_return()
+
+
+def test_squash_overflow_is_a_numeric_error_not_a_warning(rng):
+    # exp(1e5 * 0.5) overflows; pytest turns a RuntimeWarning into a failure.
+    assert np.isinf(squash(np.array([-0.5]), plain_cfg(squash_beta=-1e5))).all()
+    with pytest.raises(NumericError, match="has labels that are not finite"):
+        label_dataset([make_episode(rng, 4, 2)], [make_episode(rng, 5, 2)],
+                      plain_cfg(squash_beta=-1e5))
 
 
 def test_post_scale_degenerate_range():
