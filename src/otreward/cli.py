@@ -154,9 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MAX_ITERS", help="Sinkhorn iteration cap")
     label.add_argument("--alpha", help="squash scale")
     label.add_argument("--beta", help="squash rate")
-    label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode])
-    label.add_argument("--episode-length",
-                       help="horizon constant for locomotion/antmaze exponents")
+    label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode],
+                       help="exponent beta (plain) or beta * 1000 / action_dim (locomotion)")
     label.add_argument("--action-dim",
                        help="action dimension for the locomotion exponent")
     label.add_argument("--post-scale",

@@ -11,7 +11,8 @@ fault raises its exit-code category with a message that says what failed:
   or do not sum to one, a padding target shorter than the measure, or equal
   episodic returns under return-range rescaling; and results that are not
   finite, such as labels or a labeled episodic return that overflow.
-- DataIoError (CLI exit 5): reading or writing a file failed at the OS level.
+- DataIoError (CLI exit 5): a write failed at the OS level. A failed read
+  raises the OSError itself, which also exits 5.
 """
 
 
@@ -49,4 +50,4 @@ class ParseError(DataError):
 
 
 class DataIoError(OtRewardError):
-    """Reading or writing a dataset file failed at the OS level."""
+    """Writing a dataset file failed at the OS level."""

@@ -297,7 +297,7 @@ def reference_config() -> HarnessConfig:
     strictly unprofitable, so the greedy policy heads for the terminal
     goal along the least-costly (most expert-like) corridor. Every other
     setting is its dataclass default; configs/reference.gridworld spells
-    them all out.
+    them all out but marginal_tolerance and action_dim.
     """
     return HarnessConfig(
         env=Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7)),

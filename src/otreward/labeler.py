@@ -35,12 +35,13 @@ from .measures import (FeatureMode, Trajectory, finite_return, store_step_vector
                        trajectory_to_measure)
 from .solver import Coupling, SinkhornParams, sinkhorn
 
+EPISODE_LENGTH = 1000  # T in the paper's squash exponents: D4RL's episode length
+
 
 class ScaleMode(Enum):
-    """How the squashing exponent is built from beta and episode length."""
+    """How the squashing exponent is built from beta (AntMaze's T is PLAIN, beta = T)."""
 
-    LOCOMOTION = "locomotion"  # exponent beta * T / action_dim
-    ANTMAZE = "antmaze"  # exponent T
+    LOCOMOTION = "locomotion"  # exponent beta * EPISODE_LENGTH / action_dim
     PLAIN = "plain"  # exponent beta
 
 
@@ -104,10 +105,8 @@ class PostScale:
 class LabelConfig:
     """Everything that determines how an episode gets labeled.
 
-    episode_length is the fixed horizon constant used in the LOCOMOTION
-    and ANTMAZE exponents (1000 in the benchmark presets); it is not each
-    episode's native length, which keeps rewards comparable across
-    episodes of different lengths.
+    Labels are squash_alpha * exp(E * r) with a finite E = squash_exponent().
+    LOCOMOTION's E uses EPISODE_LENGTH for every episode, so all share one scale.
     """
 
     cost: CostKind = CostKind.COSINE
@@ -116,26 +115,21 @@ class LabelConfig:
     squash_alpha: float = 5.0
     squash_beta: float = 5.0
     squash_scale: ScaleMode = ScaleMode.PLAIN
-    episode_length: int = 1000
     action_dim: int | None = None
     post_scale: PostScale = field(default_factory=PostScale.none)
 
     def __post_init__(self):
         if not 0 < self.squash_alpha < math.inf:
             raise ValueError(f"squash_alpha must be finite and > 0, got {self.squash_alpha}")
-        if not math.isfinite(self.squash_beta):
-            raise ValueError(f"squash_beta must be finite, got {self.squash_beta}")
-        if self.episode_length < 1:
-            raise ValueError(f"episode_length must be >= 1, got {self.episode_length}")
         if self.squash_scale is ScaleMode.LOCOMOTION:
             if self.action_dim is None or self.action_dim < 1:
                 raise ValueError("LOCOMOTION scaling requires action_dim >= 1")
+        if not math.isfinite(self.squash_exponent()):
+            raise ValueError(f"squash_beta {self.squash_beta} makes the exponent not finite")
 
     def squash_exponent(self) -> float:
         if self.squash_scale is ScaleMode.LOCOMOTION:
-            return self.squash_beta * self.episode_length / self.action_dim
-        if self.squash_scale is ScaleMode.ANTMAZE:
-            return float(self.episode_length)
+            return self.squash_beta * EPISODE_LENGTH / self.action_dim
         return self.squash_beta
 
     def with_text(self, mapping: Mapping[str, str]) -> "LabelConfig":
@@ -166,7 +160,7 @@ class LabelConfig:
 
     @classmethod
     def antmaze_preset(cls) -> "LabelConfig":
-        """s(r) = 5 * exp(T * r), T = 1000, shifted down by 2."""
+        """s(r) = 5 * exp(T * r), T = 1000, shifted down by 2: PLAIN with beta = T."""
         return cls().with_text(PRESETS["antmaze"])
 
     @classmethod
@@ -186,7 +180,6 @@ LABEL_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "squash_mode": ("squash_scale", ScaleMode),
     "alpha": ("squash_alpha", float),
     "beta": ("squash_beta", float),
-    "episode_length": ("episode_length", int),
     "action_dim": ("action_dim", int),
     "post_scale": ("post_scale", PostScale.parse),
 }
@@ -196,8 +189,8 @@ LABEL_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 # locomotion exponent also needs action_dim, which no preset can fix.
 PRESETS: dict[str, dict[str, str]] = {
     "locomotion": {"alpha": "5.0", "beta": "5.0", "squash_mode": "locomotion",
-                   "episode_length": "1000", "post_scale": "return-range:1000.0"},
-    "antmaze": {"alpha": "5.0", "squash_mode": "antmaze", "episode_length": "1000",
+                   "post_scale": "return-range:1000.0"},
+    "antmaze": {"alpha": "5.0", "beta": "1000.0", "squash_mode": "plain",
                 "post_scale": "shift:-2.0"},
     "plain": {"alpha": "1.0", "beta": "1.0", "squash_mode": "plain", "post_scale": "none"},
 }
@@ -311,8 +304,9 @@ def post_scale_rewards(
     if mode.kind is PostScaleKind.RETURN_RANGE:
         returns = [lt.episodic_return() for lt in dataset]
         spread = max(returns) - min(returns)
-        if spread <= 0:
-            raise NumericError("all episodic returns are equal; range rescaling is undefined")
+        if not 0 < spread < math.inf:
+            raise NumericError("all episodic returns are equal; range rescaling is undefined"
+                               if spread <= 0 else "the span of episodic returns overflows")
         factor = mode.value / spread
     with np.errstate(over="ignore"):  # LabeledTrajectory rejects infinite labels
         if mode.kind is PostScaleKind.RETURN_RANGE:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_label_preset_antmaze(small_files, tmp_path):
     upath, epath = small_files
     out = tmp_path / "antmaze.jsonl"
     code = main(["label", str(upath), str(epath), str(out), "--preset", "antmaze",
-                 "--episode-length", "10"])
+                 "--beta", "10"])
     assert code == 0
     recs = [json.loads(l) for l in out.read_text().splitlines()]
     # Squash lands in (0, 5]; the antmaze preset then shifts by -2.
@@ -156,6 +157,15 @@ def test_select_experts_k_too_large_warns(tmp_path, rng, capsys):
     captured = capsys.readouterr()
     assert "warning" in captured.err
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_select_experts_k_zero_is_usage_error(tmp_path, rng, capsys):
+    path = tmp_path / "ds.jsonl"
+    write_episodes(path, [Trajectory(observations=rng.normal(size=(3, 2)), rewards=np.ones(3))])
+    out = tmp_path / "picked.jsonl"
+    assert main(["select-experts", str(path), str(out), "--k", "0"]) == 2
+    assert "k must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_experts_without_rewards_fails(tmp_path, rng, capsys):
@@ -268,6 +278,9 @@ def test_demo_gridworld_truth_small(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "success_rate = 1.0" in stdout
     assert "labeler = truth" in stdout
+    # UDS gives every unlabeled step the step reward 0, so all their returns are equal.
+    assert main(["demo-gridworld", "--config", str(path), "--labeler", "uds"]) == 0
+    assert "reward correlation: degenerate (reported as 0)" in capsys.readouterr().out
 
 
 def test_demo_gridworld_bad_config(tmp_path, capsys):
@@ -405,11 +418,13 @@ def test_label_unparsable_flag_value_names_its_key(small_files, tmp_path, capsys
                                    ["--post-scale", "shift:nan"],
                                    ["--post-scale", "return-range:inf"],
                                    ["--post-scale", "return-range:0"],
-                                   ["--post-scale", "return-range:-5"]],
+                                   ["--post-scale", "return-range:-5"],
+                                   ["--preset", "locomotion", "--action-dim", "1",
+                                    "--beta", "1e306"]],
                          ids=["bad-post-scale", "locomotion-without-action-dim",
                               "negative-parallelism", "nan-beta", "infinite-alpha",
                               "nan-shift", "infinite-return-range", "zero-return-range",
-                              "negative-return-range"])
+                              "negative-return-range", "infinite-exponent"])
 def test_label_checks_flags_before_reading_files(tmp_path, flags):
     missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
     assert main(["label", *missing, *flags]) == 2
@@ -421,6 +436,34 @@ def test_cli_preset_matches_library_preset(preset):
     args = cli.build_parser().parse_args(["label", "u", "e", "out", "--preset", preset, *flags])
     expected = getattr(LabelConfig, f"{preset}_preset")(*([6] if flags else []))
     assert cli._build_label_config(args) == expected
+
+
+def test_cli_flag_overrides_the_preset_beta():
+    # The antmaze exponent is beta, 1000 by the preset; --beta replaces it.
+    args = cli.build_parser().parse_args(["label", "u", "e", "out", "--preset", "antmaze",
+                                          "--beta", "10"])
+    cfg = cli._build_label_config(args)
+    assert cfg == replace(LabelConfig.antmaze_preset(), squash_beta=10.0)
+    assert cfg.squash_exponent() == 10.0
+
+
+@pytest.mark.parametrize("flags", [["--episode-length", "1000"], ["--squash-mode", "antmaze"]],
+                         ids=["episode-length", "antmaze-mode"])
+def test_removed_label_flags_are_usage_errors(tmp_path, flags):
+    missing = [str(tmp_path / name) for name in ("u.jsonl", "e.jsonl", "out.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(["label", *missing, *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line, named", [("episode_length = 1000", "'episode_length'"),
+                                         ("squash_mode = antmaze", "'antmaze'")])
+def test_removed_config_settings_are_usage_errors(tmp_path, capsys, line, named):
+    path = tmp_path / "demo.gridworld"
+    path.write_text(REFERENCE_CONFIG.read_text().replace("squash_mode = plain\n", "")
+                    + line + "\n")
+    assert main(["demo-gridworld", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_diagnose_source_expert_column(tmp_path, rng, capsys):

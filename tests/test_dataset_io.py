@@ -63,8 +63,10 @@ def test_write_empty_dataset(tmp_path):
 
 def test_two_records_parse(tmp_path):
     path = tmp_path / "two.jsonl"
+    # A blank line between records is skipped.
     path.write_text(
         '{"observations": [[1, 2], [3, 4]]}\n'
+        '  \n'
         '{"observations": [[5, 6]], "rewards": [0.5], "id": "x"}\n'
     )
     ds = read_dataset(path)

@@ -97,6 +97,11 @@ def test_env_validation():
         Gridworld(width=3, height=3, start=(0, 0), goal=(5, 5))
     with pytest.raises(ValueError):
         Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7), horizon=3)
+    with pytest.raises(ValueError, match="at least one cell per axis"):
+        Gridworld(width=0, height=3, start=(0, 0), goal=(0, 2))
+    for discount in (0.0, 1.0):
+        with pytest.raises(ValueError, match="discount must be in"):
+            Gridworld(width=3, height=3, start=(0, 0), goal=(2, 2), discount=discount)
     for key in ("step_reward", "goal_reward"):
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=key):
@@ -330,7 +335,6 @@ def test_harness_config_round_trip_is_lossless(tmp_path, text, post_scale):
     label = replace(
         base.label,
         sinkhorn=replace(base.label.sinkhorn, marginal_tolerance=1e-4),
-        episode_length=250,
         action_dim=3,
         post_scale=post_scale,
     )
@@ -338,7 +342,8 @@ def test_harness_config_round_trip_is_lossless(tmp_path, text, post_scale):
     lines = [line for line in REFERENCE_CONFIG.read_text().splitlines(True)
              if not line.startswith("post_scale")]
     path = tmp_path / "demo.gridworld"
-    path.write_text("".join(lines) + "marginal_tolerance = 0.0001\nepisode_length = 250\n"
+    # Blank and comment-only lines are skipped.
+    path.write_text("".join(lines) + "marginal_tolerance = 0.0001\n\n   # a note\n"
                     f"action_dim = 3\npost_scale = {text}\n")
     assert load_harness_config(path) == config
 

@@ -22,7 +22,7 @@ from otreward import (
     uniform_plan_rewards,
 )
 from otreward.errors import DataError, DimensionMismatch, NumericError
-from otreward.labeler import resolve_workers
+from otreward.labeler import LABEL_KEYS, resolve_workers
 
 from conftest import make_episode
 
@@ -105,6 +105,8 @@ def test_aggregate_argmax_verified_by_resummation(rng):
 def test_aggregate_requires_experts(rng):
     with pytest.raises(DataError, match="at least one expert demonstration is required"):
         aggregate_over_experts(make_episode(rng, 3, 2), [], PLAIN)
+    with pytest.raises(DataError, match="at least one expert demonstration is required"):
+        label_dataset([make_episode(rng, 3, 2)], [], PLAIN)
 
 
 def test_squash_at_zero_is_alpha():
@@ -146,9 +148,8 @@ def test_squash_strictly_monotone(r1, r2, mode):
     lo, hi = sorted([r1, r2])
     cfg = LabelConfig(
         squash_alpha=2.0,
-        squash_beta=3.0,
+        squash_beta=0.15,
         squash_scale=mode,
-        episode_length=50,
         action_dim=4,
     )
     s = squash(np.array([lo, hi]), cfg)
@@ -211,6 +212,15 @@ def test_squash_overflow_is_a_numeric_error_not_a_warning(rng):
 def test_post_scale_degenerate_range():
     data = [_labeled([1.0]), _labeled([0.5, 0.5])]
     with pytest.raises(NumericError, match="all episodic returns are equal"):
+        post_scale_rewards(data, PostScale.return_range())
+    with pytest.raises(DataError, match="at least one labeled episode"):
+        post_scale_rewards([], PostScale.return_range())
+
+
+def test_post_scale_return_range_that_overflows_is_a_numeric_error():
+    # Each return is finite, but max - min is not; the factor would be 0.0.
+    data = [_labeled([1e308], ep_id="hi"), _labeled([-1e308], ep_id="lo")]
+    with pytest.raises(NumericError, match="span of episodic returns overflows"):
         post_scale_rewards(data, PostScale.return_range())
 
 
@@ -387,7 +397,7 @@ def test_label_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="squash_alpha"):
             LabelConfig(squash_alpha=bad)
-        with pytest.raises(ValueError, match="squash_beta"):
+        with pytest.raises(ValueError, match="squash_beta.*finite"):
             LabelConfig(squash_beta=bad)
         with pytest.raises(ValueError, match="finite"):
             PostScale.shift(bad)
@@ -398,6 +408,11 @@ def test_label_config_validation():
             PostScale.return_range(bad)
         with pytest.raises(ValueError, match="return-range"):
             PostScale.parse(f"return-range:{bad}")
+    # A finite beta whose exponent beta * 1000 / action_dim is not.
+    with pytest.raises(ValueError, match="squash_beta.*finite"):
+        LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=1, squash_beta=1e306)
+    with pytest.raises(ValueError, match="squash_beta.*finite"):
+        LabelConfig().with_text({"squash_mode": "locomotion", "action_dim": "1", "beta": "1e306"})
     assert PostScale.shift(0.0).value == 0.0
     cfg = LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=6)
     assert cfg.squash_exponent() == pytest.approx(5.0 * 1000 / 6)
@@ -410,6 +425,15 @@ def test_with_text_validates_the_final_config_once():
     assert cfg.squash_scale is ScaleMode.LOCOMOTION and cfg.action_dim == 6
     with pytest.raises(ValueError, match="action_dim"):
         LabelConfig().with_text({"squash_mode": "locomotion"})
+
+
+def test_with_text_unknown_key_names_every_key():
+    for key in ("epsilom", "episode_length"):
+        with pytest.raises(ValueError, match=f"unknown label setting\\(s\\) '{key}'") as exc:
+            LabelConfig().with_text({key: "0.1"})
+        assert all(name in str(exc.value) for name in LABEL_KEYS)
+    with pytest.raises(ValueError, match="bad squash_mode 'antmaze'"):
+        LabelConfig().with_text({"squash_mode": "antmaze"})
 
 
 @pytest.mark.parametrize("text", ["none:1", "shift", "return-rangeXYZ", "shift:x",

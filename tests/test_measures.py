@@ -150,3 +150,5 @@ def test_measure_invariants_enforced():
         WeightedMeasure(points=[[1.0], [2.0]], weights=[0.4, 0.4])
     with pytest.raises(ValueError):
         WeightedMeasure(points=[[1.0]], weights=[0.0])
+    with pytest.raises(DimensionMismatch, match="points must be \\(n, d\\)"):
+        WeightedMeasure(points=[1.0, 2.0], weights=[0.5, 0.5])

@@ -88,6 +88,8 @@ def test_validation_errors(rng):
         sinkhorn(bad, uniform(3), uniform(4))
     with pytest.raises(DimensionMismatch):
         sinkhorn(C, uniform(4), uniform(4))
+    with pytest.raises(DimensionMismatch, match="cost must be a matrix"):
+        sinkhorn(C[0], uniform(4), uniform(4))
     with pytest.raises(NumericError, match="lp_oracle limited to 64 weighted points"):
         lp_oracle(rng.uniform(size=(40, 40)), uniform(40), uniform(40))
 
