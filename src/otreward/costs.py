@@ -17,6 +17,8 @@ from .errors import DimensionMismatch
 from .measures import WeightedMeasure
 
 ZERO_NORM_EPS = 1e-12
+# Differences a squared-Euclidean cost holds at once: 2**19 floats, 4 MB.
+_CHUNK_DIFFERENCES = 2**19
 
 
 class CostKind(Enum):
@@ -43,11 +45,16 @@ def _cosine_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _squared_euclidean_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of x and y, without an (n, m, d) array."""
+    """Squared distances between the rows of x and y, in chunks of rows.
+
+    Each chunk's (rows, m, d) differences hold at most _CHUNK_DIFFERENCES
+    floats, so memory stays bounded whatever n is.
+    """
     out = np.empty((len(x), len(y)))
-    for i, xi in enumerate(x):
-        diff = y - xi
-        np.einsum("jd,jd->j", diff, diff, out=out[i])
+    rows = max(1, _CHUNK_DIFFERENCES // max(1, y.size))
+    for start in range(0, len(x), rows):
+        diff = y - x[start:start + rows, None, :]
+        np.einsum("ijd,ijd->ij", diff, diff, out=out[start:start + rows])
     return out
 
 

@@ -119,8 +119,9 @@ class WeightedMeasure:
         object.__setattr__(self, "points", pts)
         store_step_vector(self, "weights", pts.shape[0])
         w = self.weights
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        # NaN fails every comparison, so this also rejects it; inf fails the sum.
+        if not (w >= 0).all():
+            raise ValueError("weights must be nonnegative and not NaN")
         if not np.any(w > 0):
             raise ValueError("at least one weight must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:

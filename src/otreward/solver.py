@@ -5,15 +5,19 @@ min <C, P> - eps * H(P)  over couplings with prescribed marginals, as
 matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
 2019): the dual potentials are absorbed into the kernel, and a half-step
 whose kernel sums would underflow runs in the log domain instead, so small
-eps and large costs stay stable. The kernel holds no subnormals: entries
-below the smallest normal float are stored as 0, since x86 takes a slow
-path on subnormal operands and such an entry lies far below the last bit of
-any kernel sum of at least _KERNEL_SUM_MIN. The iterates are the textbook
-ones. Every guard is still decided on every iteration, once per block of
-iterations: the underflow test exactly, by one minimum over the block, and
-the stop rule after an L-infinity screen that passes every iteration whose
-plan could meet the tolerance. The loop calls ndarray.dot: np.dot's C
-routine without its __array_function__ dispatch, so the same bits.
+eps and large costs stay stable. The kernel is truncated (Schmitzer 2019):
+entries below _KERNEL_ENTRY_MIN = 1e-220 are stored as 0, which keeps
+subnormal operands, and x86's slow path on them, out of the matvecs. A
+plain half-step only uses kernel sums of at least _KERNEL_SUM_MIN with
+scalings of at most 1 / _KERNEL_SUM_MIN, so all dropped entries of a row or
+column together lie below the last bit of any such sum. The iterates are
+the textbook ones. Every guard is still decided on every iteration, once
+per block of iterations: the underflow test exactly, by one minimum over the
+block, and the stop rule after an L-infinity screen that passes every
+iteration whose plan could meet the tolerance. The first block is a single
+iteration when the first kernel has a column that must underflow. The loop
+calls ndarray.dot: np.dot's C routine without its __array_function__
+dispatch, so the same bits.
 
 Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
@@ -34,12 +38,15 @@ from .errors import DimensionMismatch, NumericError
 MARGINAL_SUM_TOL = 1e-9
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
-# Kernel entries below this, the smallest normal float64, are stored as 0.
-# Not larger: su takes short binary values, so su[i] * G[i, j] can fall on a
-# rounding tie that the FMA-based matvec breaks differently once any nonzero
-# addend precedes it. With a threshold of 1e-280 (or 1e-250, 1e-220), a
-# reward of a squared-Euclidean solve at eps = 0.01 moved by 1 ulp.
-_KERNEL_ENTRY_MIN = np.finfo(np.float64).tiny
+# Kernel entries below this are stored as 0. A plain half-step only uses
+# kernel sums >= _KERNEL_SUM_MIN = 1e-100, with scalings <= 1e100, so the
+# dropped entries of a sum over T' <= 10,000 terms add at most
+# T' * 1e-220 * 1e100 <= 1e-116 to it: less than 2**-53 * 1e-100, below the
+# last bit of any such sum (at the paper's T' = 1000, a tenth of it). An
+# addend under half an ulp can still move a sum through a rounding tie; in a
+# sweep of 1,320 solves (cosine and squared-Euclidean, eps 0.1 to 0.001) one
+# reward vector moved by 1 ulp, and no iteration count, flag or cost.
+_KERNEL_ENTRY_MIN = 1e-220
 # Sinkhorn iterations run between two evaluations of the guards.
 _BLOCK = 32
 
@@ -93,8 +100,9 @@ def _validate_instance(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         )
     if not np.isfinite(cost).all():
         raise NumericError("cost matrix contains NaN or infinite entries")
-    if np.any(a < 0) or np.any(b < 0):
-        raise NumericError("marginal weights must be nonnegative")
+    # NaN fails every comparison, so this also rejects it; inf fails the sum.
+    if not ((a >= 0).all() and (b >= 0).all()):
+        raise NumericError("marginal weights must be nonnegative and not NaN")
     sa, sb = float(a.sum()), float(b.sum())
     if abs(sa - 1.0) > MARGINAL_SUM_TOL or abs(sb - 1.0) > MARGINAL_SUM_TOL:
         raise NumericError(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
@@ -142,11 +150,9 @@ def _half_step(K, G, sums, target, pot, other_pot, other_scale):
     stays <= 1 / _KERNEL_SUM_MIN). Then other_scale is absorbed into
     other_pot, pot = log(target) - logsumexp(K + other_pot) is computed in
     the log domain, its exp pass rebuilds G = exp(K + pot + other_pot), and
-    both scalings become ones. The rebuilt G holds no subnormals: entries
-    below _KERNEL_ENTRY_MIN become 0, as a subnormal operand sends the next
-    matvecs down x86's slow path, and such an entry lies far below the last
-    bit of a kernel sum >= _KERNEL_SUM_MIN. Used on (K, G) for rows and
-    (K.T, G.T) for columns; returns (pot, scale, other_pot, other_scale).
+    both scalings become ones. The rebuilt G is truncated as the first
+    kernel is: entries below _KERNEL_ENTRY_MIN become 0. Used on (K, G) for
+    rows and (K.T, G.T) for columns; returns (pot, scale, other_pot, other_scale).
     """
     if sums.min() >= _KERNEL_SUM_MIN:
         return pot, target / sums, other_pot, other_scale
@@ -160,6 +166,20 @@ def _half_step(K, G, sums, target, pot, other_pot, other_scale):
     G[G < _KERNEL_ENTRY_MIN] = 0
     pot = np.log(target) - top - np.log(sums)
     return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
+
+
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized float64 array whose data starts on a 64-byte boundary.
+
+    The loop's matvecs read a 100x100 kernel 15-20% faster from a 32-byte
+    boundary than from malloc's 16-byte one, and where malloc puts an array
+    depends on what the process allocated before: code anywhere in it could
+    move every solve to the slow offset.
+    """
+    size = shape[0] * shape[1]
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size].reshape(shape)
 
 
 def _sinkhorn_active(
@@ -181,12 +201,16 @@ def _sinkhorn_active(
     fixpoint: every later iteration repeats it, so it is the capped result.
     Rows after the first underflow are dropped; its half-steps rerun. Blocks
     are cut where the last one's residual decay predicts tol; no iterate moves.
+    The first block is one iteration when a column of the first kernel has no
+    entry >= _KERNEL_SUM_MIN: as su <= a, that column's first sum is then
+    below _KERNEL_SUM_MIN, and the block would end there anyway.
     """
     tol = params.marginal_tolerance
     K = -C / params.epsilon
     f, su = -K.max(axis=1), np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
+    G = _aligned_empty(K.shape)
+    np.exp(np.add(K, f[:, None], out=G), out=G)  # every row holds a 1: no first-step underflow
     G[G < _KERNEL_ENTRY_MIN] = 0
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
     SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
@@ -198,7 +222,7 @@ def _sinkhorn_active(
     # that passes the plan check has mass <= a.max() + tol. The factor 2 on top
     # covers rounding the residuals and tol + slack: no passing plan is skipped.
     slack = 4 * len(b) * np.finfo(np.float64).eps * (a.max() + tol)
-    it, k = 0, _BLOCK
+    it, k = 0, 1 if G.max(axis=0).min() < _KERNEL_SUM_MIN else _BLOCK
     while it < params.max_iterations:
         k = min(k, params.max_iterations - it)
         SU[0], SV[0] = su, sv

@@ -77,7 +77,8 @@ def test_pairwise_single_entry(rng):
 @pytest.mark.parametrize("kind", [CostKind.COSINE, CostKind.SQUARED_EUCLIDEAN])
 def test_pairwise_equals_scalar_calls(rng, kind):
     # Bit-exact agreement with the loop-of-scalars oracle, on a small and a
-    # larger T != T' shape, and with zero-norm padded rows and columns.
+    # larger T != T' shape, with zero-norm padded rows and columns, and on a
+    # shape whose squared-Euclidean rows span three chunks (22 rows each).
     def measure(length, dim):
         return trajectory_to_measure(make_episode(rng, length, dim), FeatureMode.STATE)
 
@@ -87,6 +88,7 @@ def test_pairwise_equals_scalar_calls(rng, kind):
         (small_a, small_b),
         (large_a, large_b),
         (pad_measure(large_a, 41), pad_measure(large_b, 30)),
+        (measure(60, 23), measure(1000, 23)),
     ]
     scalar = cosine_cost if kind is CostKind.COSINE else squared_euclidean_cost
     for a, b in pairs:

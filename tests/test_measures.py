@@ -152,3 +152,8 @@ def test_measure_invariants_enforced():
         WeightedMeasure(points=[[1.0]], weights=[0.0])
     with pytest.raises(DimensionMismatch, match="points must be \\(n, d\\)"):
         WeightedMeasure(points=[1.0, 2.0], weights=[0.5, 0.5])
+    for bad, message in ((np.nan, "must be nonnegative and not NaN"),
+                         (-np.inf, "must be nonnegative and not NaN"),
+                         (np.inf, "must sum to 1, got .*inf")):
+        with pytest.raises(ValueError, match=message):
+            WeightedMeasure(points=[[1.0], [2.0], [3.0]], weights=[bad, 0.5, 0.5])

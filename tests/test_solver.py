@@ -5,7 +5,13 @@ import pytest
 from scipy.special import logsumexp
 
 from otreward import CostKind, SinkhornParams, sinkhorn
-from otreward.solver import _BLOCK, _KERNEL_SUM_MIN, _half_step, _sinkhorn_active
+from otreward.solver import (
+    _BLOCK,
+    _KERNEL_ENTRY_MIN,
+    _KERNEL_SUM_MIN,
+    _half_step,
+    _sinkhorn_active,
+)
 from otreward.errors import DimensionMismatch, NumericError
 
 from conftest import random_cost_instance
@@ -82,6 +88,12 @@ def test_validation_errors(rng):
         sinkhorn(C, np.full(3, 0.5), uniform(4))
     with pytest.raises(NumericError, match="marginal weights must be nonnegative"):
         sinkhorn(C, np.array([1.5, -0.25, -0.25]), uniform(4))
+    for bad, message in ((np.nan, "must be nonnegative and not NaN"),
+                         (np.inf, "must each sum to 1, got .*inf")):
+        with pytest.raises(NumericError, match=message):
+            sinkhorn(C, np.array([bad, 0.5, 0.5]), uniform(4))
+        with pytest.raises(NumericError, match=message):
+            sinkhorn(C, uniform(3), np.array([bad, 0.5, 0.25, 0.25]))
     with pytest.raises(NumericError, match="cost matrix contains NaN"):
         bad = C.copy()
         bad[0, 0] = np.nan
@@ -188,7 +200,7 @@ def per_iteration_sinkhorn(C, a, b, params):
     f, su = -K.max(axis=1), np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
     G = np.exp(K + f[:, None])
-    G[G < np.finfo(float).tiny] = 0  # as the solver stores subnormal kernel entries
+    G[G < _KERNEL_ENTRY_MIN] = 0  # the solver's truncation of the first kernel
     converged = False
     for it in range(params.max_iterations):
         row_sums = np.dot(G, sv)
@@ -276,17 +288,30 @@ def test_block_screen_matches_per_iteration_loop(instance, params, converges):
 
 
 class _CountingNumpy:
-    """numpy, counting calls of abs on 1-D arrays: the solver's plan marginal checks."""
+    """numpy, counting the solver's plan marginal checks and computed iterations.
+
+    plan_checks counts calls of abs on 1-D arrays. divides counts np.divide
+    calls, two per computed iteration; first_guard is that count when abs is
+    first called, as the first block's guards are evaluated.
+    """
 
     def __init__(self):
         self.plan_checks = 0
+        self.divides = 0
+        self.first_guard = None
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def abs(self, x, *args, **kwargs):
+        if self.first_guard is None:
+            self.first_guard = self.divides
         self.plan_checks += np.ndim(x) == 1
         return np.abs(x, *args, **kwargs)
+
+    def divide(self, *args, **kwargs):
+        self.divides += 1
+        return np.divide(*args, **kwargs)
 
 
 def test_screen_builds_no_plan_that_cannot_pass(monkeypatch):
@@ -312,8 +337,8 @@ def test_fixpoint_ends_the_plan_checks(monkeypatch):
     assert counting.plan_checks <= _BLOCK
 
 
-def _holds_subnormals(G):
-    return bool(((G > 0) & (G < np.finfo(float).tiny)).any())
+def _holds_nonzero_below(G, bound):
+    return bool(((G > 0) & (G < bound)).any())
 
 
 def test_kernel_holds_no_subnormals(monkeypatch):
@@ -323,7 +348,7 @@ def test_kernel_holds_no_subnormals(monkeypatch):
     C, a, b = _oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14)
     params = SinkhornParams(epsilon=0.01, max_iterations=300)
     K = -C / params.epsilon
-    assert _holds_subnormals(np.exp(K - K.max(axis=1)[:, None]))
+    assert _holds_nonzero_below(np.exp(K - K.max(axis=1)[:, None]), np.finfo(float).tiny)
     kernels, rebuilt = [], []
 
     def recording_half_step(K, G, sums, *rest):
@@ -336,7 +361,50 @@ def test_kernel_holds_no_subnormals(monkeypatch):
     monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
     _sinkhorn_active(C, a, b, params)
     assert kernels and rebuilt
-    assert not any(_holds_subnormals(G) for G in kernels + rebuilt)
+    assert not any(_holds_nonzero_below(G, _KERNEL_ENTRY_MIN) for G in kernels + rebuilt)
+
+
+def test_kernel_starts_on_a_64_byte_boundary(monkeypatch):
+    # Where malloc puts an array depends on the process's earlier allocations,
+    # and the matvecs read G 15-20% faster from a 32-byte boundary than from
+    # a 16-byte one. G.T, used for the columns, shares G's data.
+    C, a, b = _oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14)
+    offsets = []
+
+    def recording_half_step(K, G, *rest):
+        offsets.append(G.ctypes.data % 64)
+        return _half_step(K, G, *rest)
+
+    monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
+    for _ in range(4):
+        _sinkhorn_active(C, a, b, SinkhornParams(epsilon=0.01, max_iterations=100))
+    assert offsets and set(offsets) == {0}
+
+
+# Squared-Euclidean costs at d = 14 and eps = 0.01 leave a column of the first
+# kernel with no entry >= _KERNEL_SUM_MIN, so its first column sum underflows;
+# cosine costs at eps = 0.01 keep every kernel entry above exp(-200).
+@pytest.mark.parametrize("instance, first_block, first_fallback", [
+    pytest.param(_oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14), 1, [1],
+                 id="squared-euclidean-underflows"),
+    pytest.param(random_cost_instance(np.random.default_rng(7), 100, 100, dim=8), _BLOCK, [],
+                 id="capped-100x100"),
+])
+def test_first_block_is_cut_only_where_it_must_underflow(
+        monkeypatch, instance, first_block, first_fallback):
+    C, a, b = instance
+    counting = _CountingNumpy()
+    fallbacks = []  # iterations computed before each log-domain fallback
+
+    def recording_half_step(*args):
+        fallbacks.append(counting.divides // 2)
+        return _half_step(*args)
+
+    monkeypatch.setattr("otreward.solver.np", counting)
+    monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
+    _sinkhorn_active(C, a, b, SinkhornParams(epsilon=0.01))
+    assert counting.first_guard == 2 * first_block
+    assert fallbacks[:1] == first_fallback
 
 
 def test_deterministic_replay(rng):
