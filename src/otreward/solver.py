@@ -9,15 +9,16 @@ eps and large costs stay stable. The kernel is truncated (Schmitzer 2019):
 entries below _KERNEL_ENTRY_MIN = 1e-220 are stored as 0, which keeps
 subnormal operands, and x86's slow path on them, out of the matvecs. A
 plain half-step only uses kernel sums of at least _KERNEL_SUM_MIN with
-scalings of at most 1 / _KERNEL_SUM_MIN, so all dropped entries of a row or
-column together lie below the last bit of any such sum. The iterates are
-the textbook ones. Every guard is still decided on every iteration, once
-per block of iterations: the underflow test exactly, by one minimum over the
-block, and the stop rule after an L-infinity screen that passes every
-iteration whose plan could meet the tolerance. The first block is a single
-iteration when the first kernel has a column that must underflow. The loop
-calls ndarray.dot: np.dot's C routine without its __array_function__
-dispatch, so the same bits.
+scalings of at most 1 / _KERNEL_SUM_MIN, so while T and T' are at most
+10,000 all dropped entries of a row or column together lie below the last
+bit of any such sum. The iterates are the textbook ones. Every guard is
+still decided on every iteration, once per block of iterations: the
+underflow test exactly, by one minimum over the block, and the stop rule
+after an L-infinity screen that passes every iteration whose plan could
+meet the tolerance. The first block is a single iteration when the first
+kernel has a column that must underflow. The loop calls ndarray.dot:
+np.dot's C routine without its __array_function__ dispatch, so the same
+bits.
 
 Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
@@ -39,13 +40,16 @@ MARGINAL_SUM_TOL = 1e-9
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
 # Kernel entries below this are stored as 0. A plain half-step only uses
-# kernel sums >= _KERNEL_SUM_MIN = 1e-100, with scalings <= 1e100, so the
-# dropped entries of a sum over T' <= 10,000 terms add at most
-# T' * 1e-220 * 1e100 <= 1e-116 to it: less than 2**-53 * 1e-100, below the
-# last bit of any such sum (at the paper's T' = 1000, a tenth of it). An
-# addend under half an ulp can still move a sum through a rounding tie; in a
-# sweep of 1,320 solves (cosine and squared-Euclidean, eps 0.1 to 0.001) one
-# reward vector moved by 1 ulp, and no iteration count, flag or cost.
+# kernel sums >= _KERNEL_SUM_MIN = 1e-100, with scalings <= 1e100. A row sum
+# runs over T' terms and a column sum over T, so the dropped entries of a sum
+# add at most n * 1e-220 * 1e100 to it, a share of at most n * 1e-20, where
+# n = max(T, T'). For n <= 10,000 that share is below 2**-53: the last bit of
+# the sum (at the paper's T = T' = 1000, a tenth of it). Longer episodes are
+# not refused, but there the share grows past the last bit: at n = 100,000
+# it is 1e-15 of a sum, several ulps. An addend under half an ulp can still
+# move a sum through a rounding tie; in a sweep of 1,320 solves (cosine and
+# squared-Euclidean, eps 0.1 to 0.001) one reward vector moved by 1 ulp, and
+# no iteration count, flag or cost.
 _KERNEL_ENTRY_MIN = 1e-220
 # Sinkhorn iterations run between two evaluations of the guards.
 _BLOCK = 32
@@ -168,20 +172,6 @@ def _half_step(K, G, sums, target, pot, other_pot, other_scale):
     return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
 
 
-def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialized float64 array whose data starts on a 64-byte boundary.
-
-    The loop's matvecs read a 100x100 kernel 15-20% faster from a 32-byte
-    boundary than from malloc's 16-byte one, and where malloc puts an array
-    depends on what the process allocated before: code anywhere in it could
-    move every solve to the slow offset.
-    """
-    size = shape[0] * shape[1]
-    buf = np.empty(size + 7)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + size].reshape(shape)
-
-
 def _sinkhorn_active(
     C: np.ndarray, a: np.ndarray, b: np.ndarray, params: SinkhornParams
 ) -> tuple[np.ndarray, int, bool]:
@@ -209,8 +199,7 @@ def _sinkhorn_active(
     K = -C / params.epsilon
     f, su = -K.max(axis=1), np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = _aligned_empty(K.shape)
-    np.exp(np.add(K, f[:, None], out=G), out=G)  # every row holds a 1: no first-step underflow
+    G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
     G[G < _KERNEL_ENTRY_MIN] = 0
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
     SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]

@@ -78,7 +78,7 @@ def test_pairwise_single_entry(rng):
 def test_pairwise_equals_scalar_calls(rng, kind):
     # Bit-exact agreement with the loop-of-scalars oracle, on a small and a
     # larger T != T' shape, with zero-norm padded rows and columns, and on a
-    # shape whose squared-Euclidean rows span three chunks (22 rows each).
+    # shape whose squared-Euclidean rows span 31 chunks (2 rows each, 1 last).
     def measure(length, dim):
         return trajectory_to_measure(make_episode(rng, length, dim), FeatureMode.STATE)
 
@@ -88,7 +88,7 @@ def test_pairwise_equals_scalar_calls(rng, kind):
         (small_a, small_b),
         (large_a, large_b),
         (pad_measure(large_a, 41), pad_measure(large_b, 30)),
-        (measure(60, 23), measure(1000, 23)),
+        (measure(61, 23), measure(1000, 23)),
     ]
     scalar = cosine_cost if kind is CostKind.COSINE else squared_euclidean_cost
     for a, b in pairs:

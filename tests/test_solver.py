@@ -364,23 +364,6 @@ def test_kernel_holds_no_subnormals(monkeypatch):
     assert not any(_holds_nonzero_below(G, _KERNEL_ENTRY_MIN) for G in kernels + rebuilt)
 
 
-def test_kernel_starts_on_a_64_byte_boundary(monkeypatch):
-    # Where malloc puts an array depends on the process's earlier allocations,
-    # and the matvecs read G 15-20% faster from a 32-byte boundary than from
-    # a 16-byte one. G.T, used for the columns, shares G's data.
-    C, a, b = _oracle_instance(500, CostKind.SQUARED_EUCLIDEAN, 14)
-    offsets = []
-
-    def recording_half_step(K, G, *rest):
-        offsets.append(G.ctypes.data % 64)
-        return _half_step(K, G, *rest)
-
-    monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
-    for _ in range(4):
-        _sinkhorn_active(C, a, b, SinkhornParams(epsilon=0.01, max_iterations=100))
-    assert offsets and set(offsets) == {0}
-
-
 # Squared-Euclidean costs at d = 14 and eps = 0.01 leave a column of the first
 # kernel with no entry >= _KERNEL_SUM_MIN, so its first column sum underflows;
 # cosine costs at eps = 0.01 keep every kernel entry above exp(-200).
