@@ -23,8 +23,8 @@ from .dataset_io import (
     return_correlations,
 )
 from .gridworld import LABELERS, load_harness_config, reference_config, run_demo
-from .labeler import (LABEL_KEYS, PRESETS, LabelConfig, ScaleMode, label_dataset,
-                      resolve_workers)
+from .labeler import (EPISODE_LENGTH, LABEL_KEYS, PRESETS, LabelConfig, ScaleMode,
+                      label_dataset, resolve_workers)
 from .measures import FeatureMode
 
 EXIT_OK = 0
@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MAX_ITERS", help="Sinkhorn iteration cap")
     label.add_argument("--alpha", help="squash scale")
     label.add_argument("--beta", help="squash rate")
-    label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode],
-                       help="exponent beta (plain) or beta * 1000 / action_dim (locomotion)")
+    label.add_argument("--squash-mode", choices=[m.value for m in ScaleMode], help=(
+        f"exponent beta (plain) or beta * {EPISODE_LENGTH} / action_dim (locomotion)"))
     label.add_argument("--action-dim",
                        help="action dimension for the locomotion exponent")
     label.add_argument("--post-scale",

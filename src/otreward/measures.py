@@ -43,6 +43,16 @@ def finite_return(rewards: np.ndarray, ep_id: str, error: type[Exception]) -> fl
     return total
 
 
+def check_weights(w: np.ndarray, name: str, error: type[Exception]) -> None:
+    """Raise error, naming w as name, unless w >= 0 and sums to 1 within WEIGHT_SUM_TOL."""
+    # NaN fails every comparison, so this also rejects it; inf fails the sum.
+    if not (w >= 0).all():
+        raise error(f"{name} must be nonnegative and not NaN")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise error(f"{name} must sum to 1, got {total}")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One episode: observations plus optional actions, rewards, terminals.
@@ -118,14 +128,7 @@ class WeightedMeasure:
             raise DimensionMismatch(f"points must be (n, d), got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
         store_step_vector(self, "weights", pts.shape[0])
-        w = self.weights
-        # NaN fails every comparison, so this also rejects it; inf fails the sum.
-        if not (w >= 0).all():
-            raise ValueError("weights must be nonnegative and not NaN")
-        if not np.any(w > 0):
-            raise ValueError("at least one weight must be positive")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        check_weights(self.weights, "weights", ValueError)
 
     def __len__(self) -> int:
         return self.points.shape[0]

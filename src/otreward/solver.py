@@ -35,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NumericError
+from .measures import check_weights
 
-MARGINAL_SUM_TOL = 1e-9
 # A kernel sum below this sends a Sinkhorn half-step to the log domain.
 _KERNEL_SUM_MIN = 1e-100
 # Kernel entries below this are stored as 0. A plain half-step only uses
@@ -95,23 +95,6 @@ class Coupling:
     iterations: int
 
 
-def _validate_instance(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    if cost.ndim != 2:
-        raise DimensionMismatch(f"cost must be a matrix, got shape {cost.shape}")
-    if a.shape != (cost.shape[0],) or b.shape != (cost.shape[1],):
-        raise DimensionMismatch(
-            f"marginals ({a.shape}, {b.shape}) do not match cost shape {cost.shape}"
-        )
-    if not np.isfinite(cost).all():
-        raise NumericError("cost matrix contains NaN or infinite entries")
-    # NaN fails every comparison, so this also rejects it; inf fails the sum.
-    if not ((a >= 0).all() and (b >= 0).all()):
-        raise NumericError("marginal weights must be nonnegative and not NaN")
-    sa, sb = float(a.sum()), float(b.sum())
-    if abs(sa - 1.0) > MARGINAL_SUM_TOL or abs(sb - 1.0) > MARGINAL_SUM_TOL:
-        raise NumericError(f"marginals must each sum to 1, got {sa!r} and {sb!r}")
-
-
 def _solve_on_support(cost, a, b, solve) -> Coupling:
     """Validate, solve on the positive-weight block, re-embed as a Coupling.
 
@@ -122,7 +105,16 @@ def _solve_on_support(cost, a, b, solve) -> Coupling:
     cost = np.ascontiguousarray(cost, dtype=np.float64)  # row-major, as a support copy is
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    _validate_instance(cost, a, b)
+    if cost.ndim != 2:
+        raise DimensionMismatch(f"cost must be a matrix, got shape {cost.shape}")
+    if a.shape != (cost.shape[0],) or b.shape != (cost.shape[1],):
+        raise DimensionMismatch(
+            f"marginals ({a.shape}, {b.shape}) do not match cost shape {cost.shape}"
+        )
+    if not np.isfinite(cost).all():
+        raise NumericError("cost matrix contains NaN or infinite entries")
+    check_weights(a, "marginal weights", NumericError)
+    check_weights(b, "marginal weights", NumericError)
 
     rows, cols = a > 0, b > 0
     full = rows.all() and cols.all()  # as always when labeling: no copy, no scatter back

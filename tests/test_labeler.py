@@ -255,11 +255,20 @@ def test_label_dataset_order_insensitive(rng):
         assert np.array_equal(lt.ot_rewards, by_id[lt.base.id].ot_rewards)
 
 
-def test_label_dataset_parallel_matches_sequential(rng):
-    experts = [make_episode(rng, 5, 3)]
-    eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(6)]
-    seq = label_dataset(eps, experts, PLAIN, workers=1)
-    par = label_dataset(eps, experts, PLAIN, workers=2)
+@pytest.mark.parametrize("paper_length", [False, True], ids=["short", "T1000"])
+def test_label_dataset_parallel_matches_sequential(rng, paper_length):
+    if paper_length:
+        # The paper's T = 1000, where OpenBLAS may split the solver's
+        # matvecs over threads; the iteration cap keeps the test near a second.
+        experts = [make_episode(rng, 1000, 17)]
+        eps = [make_episode(rng, 1000, 17) for _ in range(3)]
+        cfg = PLAIN.with_text({"max_iterations": "40"})
+    else:
+        experts = [make_episode(rng, 5, 3)]
+        eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(6)]
+        cfg = PLAIN
+    seq = label_dataset(eps, experts, cfg, workers=1)
+    par = label_dataset(eps, experts, cfg, workers=2)
     for a, b in zip(seq, par):
         assert np.array_equal(a.ot_rewards, b.ot_rewards)
         assert np.array_equal(a.raw_ot_rewards, b.raw_ot_rewards)

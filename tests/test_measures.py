@@ -154,6 +154,36 @@ def test_measure_invariants_enforced():
         WeightedMeasure(points=[1.0, 2.0], weights=[0.5, 0.5])
     for bad, message in ((np.nan, "must be nonnegative and not NaN"),
                          (-np.inf, "must be nonnegative and not NaN"),
-                         (np.inf, "must sum to 1, got .*inf")):
+                         (np.inf, "must sum to 1, got inf$")):
         with pytest.raises(ValueError, match=message):
             WeightedMeasure(points=[[1.0], [2.0], [3.0]], weights=[bad, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("weights, accepted", [
+    ([0.25, 0.25, 0.25, 0.25], True),
+    ([0.5, 0.75, -0.25, 0.0], False),
+    ([np.nan, 0.5, 0.25, 0.25], False),
+    ([np.inf, 0.5, 0.25, 0.25], False),
+    ([-np.inf, 0.5, 0.25, 0.25], False),
+    ([0.0, 0.0, 0.0, 0.0], False),
+    ([0.25, 0.25, 0.25, 0.25 + 5e-10], True),
+    ([0.25, 0.25, 0.25, 0.25 + 2e-9], False),
+    ([0.25, 0.25, 0.25, 0.25 - 2e-9], False),
+], ids=["uniform", "negative", "nan", "inf", "-inf", "zeros", "sum+5e-10", "sum+2e-9",
+        "sum-2e-9"])
+def test_measure_and_solver_share_one_weight_rule(rng, weights, accepted):
+    # A measure and a solver marginal are the same kind of vector: each
+    # weight vector is accepted by both or rejected by both.
+    w, other = np.array(weights), np.full(3, 1.0 / 3.0)
+    C = rng.uniform(size=(4, 3))
+    points = rng.normal(size=(4, 2))
+    if accepted:
+        WeightedMeasure(points=points, weights=w)
+        sinkhorn(C, w, other)
+        sinkhorn(C.T, other, w)
+        return
+    with pytest.raises(ValueError):
+        WeightedMeasure(points=points, weights=w)
+    for args in ((C, w, other), (C.T, other, w)):
+        with pytest.raises(NumericError):
+            sinkhorn(*args)

@@ -84,12 +84,12 @@ def test_lp_oracle_splits_single_supply():
 
 def test_validation_errors(rng):
     C = rng.uniform(size=(3, 4))
-    with pytest.raises(NumericError, match="marginals must each sum to 1"):
+    with pytest.raises(NumericError, match="marginal weights must sum to 1, got 1.5$"):
         sinkhorn(C, np.full(3, 0.5), uniform(4))
     with pytest.raises(NumericError, match="marginal weights must be nonnegative"):
         sinkhorn(C, np.array([1.5, -0.25, -0.25]), uniform(4))
     for bad, message in ((np.nan, "must be nonnegative and not NaN"),
-                         (np.inf, "must each sum to 1, got .*inf")):
+                         (np.inf, "marginal weights must sum to 1, got inf$")):
         with pytest.raises(NumericError, match=message):
             sinkhorn(C, np.array([bad, 0.5, 0.5]), uniform(4))
         with pytest.raises(NumericError, match=message):
