@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -146,13 +145,18 @@ def _atomic_write(path: str | os.PathLike, write: Callable[[TextIO], object]) ->
     """Run write on a temporary file, then rename it into place at path.
 
     The file is opened with newline="", so what write emits is stored as is.
+    A new output gets the mode open() would give it, 0o666 less the umask (a
+    mkstemp file would keep its 0o600); a replaced output keeps its own mode.
     """
-    directory = os.path.dirname(os.fspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = os.path.join(os.path.dirname(os.fspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 write(fh)
+            if os.path.exists(path):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

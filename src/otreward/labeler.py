@@ -348,7 +348,8 @@ def label_dataset(
     plan_rewards gives an episode's raw rewards against one demonstration:
     the optimal plan by default, uniform_plan_rewards for that baseline.
     Episodes are independent, so workers > 1 fans them out to a process
-    pool; the result is identical to the sequential run, in input order.
+    pool of at most one worker per episode; the result is identical to the
+    sequential run, in input order.
     Post-scaling is a barrier and runs once all episodes are labeled.
     """
     workers = resolve_workers(workers)
@@ -359,7 +360,7 @@ def label_dataset(
     label_one = partial(_label_one, experts=experts, cfg=cfg, plan_rewards=plan_rewards)
     if workers > 1 and len(unlabeled) > 1:
         chunk = max(1, len(unlabeled) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(unlabeled))) as pool:
             labeled = list(pool.map(label_one, unlabeled, chunksize=chunk))
     else:
         labeled = list(map(label_one, unlabeled))

@@ -138,22 +138,22 @@ def _solve_on_support(cost, a, b, solve) -> Coupling:
     )
 
 
-def _half_step(K, G, sums, target, pot, other_pot, other_scale):
-    """One Sinkhorn half-step along the rows of (K, G), given sums = G @ other_scale.
+def _half_step(C, eps, G, sums, target, pot, other_pot, other_scale):
+    """One Sinkhorn half-step along the rows of (C, G), given sums = G @ other_scale.
 
     The update is scale = target / sums unless a kernel sum is below
     _KERNEL_SUM_MIN (none can overflow: G's entries stay <= 1 and a scaling
     stays <= 1 / _KERNEL_SUM_MIN). Then other_scale is absorbed into
-    other_pot, pot = log(target) - logsumexp(K + other_pot) is computed in
-    the log domain, its exp pass rebuilds G = exp(K + pot + other_pot), and
-    both scalings become ones. The rebuilt G is truncated as the first
-    kernel is: entries below _KERNEL_ENTRY_MIN become 0. Used on (K, G) for
-    rows and (K.T, G.T) for columns; returns (pot, scale, other_pot, other_scale).
+    other_pot, pot = log(target) - logsumexp(other_pot - C/eps) is computed
+    in the log domain, its exp pass rebuilds G = exp(pot + other_pot - C/eps),
+    and both scalings become ones. The rebuilt G is truncated as the first
+    kernel is: entries below _KERNEL_ENTRY_MIN become 0. Used on (C, G) for
+    rows and (C.T, G.T) for columns; returns (pot, scale, other_pot, other_scale).
     """
     if sums.min() >= _KERNEL_SUM_MIN:
         return pot, target / sums, other_pot, other_scale
     other_pot = other_pot + np.log(other_scale)
-    np.add(K, other_pot, out=G)
+    np.subtract(other_pot, C / eps, out=G)
     top = G.max(axis=1)
     G -= top[:, None]
     np.exp(G, out=G)
@@ -170,9 +170,9 @@ def _sinkhorn_active(
     """Stabilized kernel-space Sinkhorn on strictly positive marginals.
 
     The potentials u = f + log(su), v = g + log(sv) are split into
-    log-potentials (f, g) absorbed into the kernel G = exp(K + f + g) and
-    scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is
-    the textbook pair u = log a - logsumexp(K + v), v = log b - logsumexp(K + u).
+    log-potentials (f, g) absorbed into the kernel G = exp(f + g - C/eps) and
+    scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is the
+    textbook pair u = log a - logsumexp(v - C/eps), v = log b - logsumexp(u - C/eps).
 
     Blocks of at most _BLOCK plain updates keep their iterates in rows of SU,
     RS, CS, SV; every guard is then decided for every iteration, in order. The
@@ -187,11 +187,10 @@ def _sinkhorn_active(
     entry >= _KERNEL_SUM_MIN: as su <= a, that column's first sum is then
     below _KERNEL_SUM_MIN, and the block would end there anyway.
     """
-    tol = params.marginal_tolerance
-    K = -C / params.epsilon
-    f, su = -K.max(axis=1), np.ones(len(a))
+    tol, eps = params.marginal_tolerance, params.epsilon
+    f, su = C.min(axis=1) / eps, np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = np.exp(K + f[:, None])  # every row holds a 1, so no first-step underflow
+    G = np.exp(f[:, None] - C / eps)  # every row holds a 1, so no first-step underflow
     G[G < _KERNEL_ENTRY_MIN] = 0
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
     SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
@@ -229,8 +228,8 @@ def _sinkhorn_active(
                         return plan, params.max_iterations, False
         su, sv = SU[done], SV[done]
         if low:
-            f, su, g, sv = _half_step(K, G, RS[done - 1], a, f, g, SV[done - 1])
-            g, sv, f, su = _half_step(K.T, G.T, np.dot(su, G), b, g, f, su)
+            f, su, g, sv = _half_step(C, eps, G, RS[done - 1], a, f, g, SV[done - 1])
+            g, sv, f, su = _half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
         it += done
         k = _BLOCK  # unless R, falling geometrically from r0 to r1, should meet tol sooner
         r0, r1 = float(R[0]), float(R[-1])

@@ -1,5 +1,7 @@
 """Shared helpers for building random episodes and instances."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,11 @@ def random_cost_instance(rng, rows, cols, dim=4, cost=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Fail a test that leaves a multiprocessing child (a pool worker) running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"processes left running: {left}"

@@ -322,6 +322,22 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_old_output(tmp_path):
     assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
+def test_outputs_get_the_mode_open_gives_and_keep_an_existing_mode(tmp_path):
+    new, existing = tmp_path / "new.jsonl", tmp_path / "existing.jsonl"
+    existing.write_text("old\n")
+    existing.chmod(0o640)
+    dataset = EpisodicDataset(episodes=[Trajectory(observations=np.zeros((2, 1)), id="a")])
+    old_umask = os.umask(0o022)
+    try:
+        write_dataset(new, dataset)
+        write_dataset(existing, dataset)
+    finally:
+        os.umask(old_umask)
+    assert new.stat().st_mode & 0o7777 == 0o644
+    assert existing.stat().st_mode & 0o7777 == 0o640
+    assert existing.read_text() == new.read_text()
+
+
 def test_return_correlations_match_scipy():
     rng = np.random.default_rng(2024)
     compared = 0

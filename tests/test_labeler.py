@@ -275,6 +275,35 @@ def test_label_dataset_parallel_matches_sequential(rng, paper_length):
         assert a.source_expert == b.source_expert
 
 
+def test_pool_starts_at_most_one_worker_per_episode(rng, monkeypatch):
+    # Under fork, ProcessPoolExecutor starts all max_workers processes at the
+    # first submit; this fake starts none and records what it was asked for.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr("otreward.labeler.ProcessPoolExecutor", InProcessPool)
+    experts = [make_episode(rng, 5, 3)]
+    eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(3)]
+    pooled = label_dataset(eps, experts, PLAIN, workers=8)
+    assert started == [3]
+    for a, b in zip(label_dataset(eps, experts, PLAIN, workers=1), pooled):
+        assert np.array_equal(a.ot_rewards, b.ot_rewards)
+        assert np.array_equal(a.raw_ot_rewards, b.raw_ot_rewards)
+        assert a.source_expert == b.source_expert
+
+
 def test_label_dataset_rejects_negative_workers(rng):
     experts = [make_episode(rng, 5, 3)]
     with pytest.raises(ValueError, match="workers"):

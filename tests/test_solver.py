@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,10 +197,10 @@ def test_iterates_match_textbook_updates(kind, eps, seed):
 def per_iteration_sinkhorn(C, a, b, params):
     """Reference: the solver loop with the plan check made on every iteration."""
     tol = params.marginal_tolerance
-    K = -C / params.epsilon
-    f, su = -K.max(axis=1), np.ones(len(a))
+    eps = params.epsilon
+    f, su = C.min(axis=1) / eps, np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = np.exp(K + f[:, None])
+    G = np.exp(f[:, None] - C / eps)
     G[G < _KERNEL_ENTRY_MIN] = 0  # the solver's truncation of the first kernel
     converged = False
     for it in range(params.max_iterations):
@@ -210,8 +211,8 @@ def per_iteration_sinkhorn(C, a, b, params):
                     and np.abs(plan.sum(axis=0) - b).max() <= tol):
                 converged = True
                 break
-        f, su, g, sv = _half_step(K, G, row_sums, a, f, g, sv)
-        g, sv, f, su = _half_step(K.T, G.T, np.dot(su, G), b, g, f, su)
+        f, su, g, sv = _half_step(C, eps, G, row_sums, a, f, g, sv)
+        g, sv, f, su = _half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
     else:
         plan = su[:, None] * G * sv
     return plan, it + 1, converged
@@ -337,6 +338,22 @@ def test_fixpoint_ends_the_plan_checks(monkeypatch):
     assert counting.plan_checks <= _BLOCK
 
 
+@pytest.mark.parametrize("kind, iterations", [
+    (CostKind.COSINE, 50), (CostKind.SQUARED_EUCLIDEAN, 200)])
+def test_solve_holds_three_cost_sized_arrays_at_most(kind, iterations):
+    # At the paper's T = 1000 a solve holds the kernel G beside the caller's
+    # cost; building the plan adds the plan and one product: three T x T'
+    # arrays at the peak. A stored log-kernel -C/eps would make it four.
+    C, a, b = random_cost_instance(np.random.default_rng(23), 1000, 1000, dim=17, cost=kind)
+    tracemalloc.start()
+    try:
+        sinkhorn(C, a, b, SinkhornParams(max_iterations=iterations))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * C.nbytes
+
+
 def _holds_nonzero_below(G, bound):
     return bool(((G > 0) & (G < bound)).any())
 
@@ -351,9 +368,9 @@ def test_kernel_holds_no_subnormals(monkeypatch):
     assert _holds_nonzero_below(np.exp(K - K.max(axis=1)[:, None]), np.finfo(float).tiny)
     kernels, rebuilt = [], []
 
-    def recording_half_step(K, G, sums, *rest):
+    def recording_half_step(C, eps, G, sums, *rest):
         kernels.append(G.copy())  # the first holds the first kernel as built
-        out = _half_step(K, G, sums, *rest)
+        out = _half_step(C, eps, G, sums, *rest)
         if sums.min() < _KERNEL_SUM_MIN:
             rebuilt.append(G.copy())
         return out
