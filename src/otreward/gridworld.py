@@ -36,7 +36,7 @@ from .measures import Trajectory
 
 # Fixed action order; greedy ties resolve to the first maximizer.
 ACTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # right, left, up, down
-N_ACTIONS = 4
+N_ACTIONS = len(ACTIONS)
 MEDIUM_EPSILON = 0.3
 Q_CONVERGENCE_TOL = 1e-8
 
@@ -192,9 +192,6 @@ class TabularQ:
     values: np.ndarray
     trained_sweeps: int
 
-    def value(self, cell: tuple[int, int], action: int) -> float:
-        return float(self.values[cell][action])
-
     def greedy_action(self, cell: tuple[int, int]) -> int | None:
         """Best action the dataset took at cell, first on ties; None if none."""
         q = self.values[cell]
@@ -301,7 +298,7 @@ def reference_config() -> HarnessConfig:
     """
     return HarnessConfig(
         env=Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7)),
-        label=LabelConfig(squash_beta=512.0, post_scale=PostScale.shift(-16.0)),
+        label=LabelConfig(squash_beta=512.0, post_scale=PostScale("shift", -16.0)),
     )
 
 

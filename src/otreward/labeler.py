@@ -57,11 +57,11 @@ class PostScaleKind(Enum):
 class PostScale:
     """Dataset-level reward post-processing applied after squashing.
 
-    Spelled as text ``none``, ``return-range[:target]`` or ``shift:<delta>``,
-    which ``parse`` reads.
+    The kind may be given as its text, as in PostScale("shift", -2.0).
+    ``parse`` reads ``none``, ``return-range[:target]`` or ``shift:<delta>``.
     """
 
-    kind: PostScaleKind
+    kind: PostScaleKind = PostScaleKind.NONE
     value: float = 0.0
 
     def __post_init__(self):
@@ -72,29 +72,15 @@ class PostScale:
             raise ValueError(f"return-range target must be > 0, got {self.value}")
 
     @classmethod
-    def none(cls) -> "PostScale":
-        return cls(kind=PostScaleKind.NONE)
-
-    @classmethod
-    def return_range(cls, target: float = 1000.0) -> "PostScale":
-        """Multiply all rewards by target / (max return - min return); target > 0."""
-        return cls(kind=PostScaleKind.RETURN_RANGE, value=target)
-
-    @classmethod
-    def shift(cls, delta: float) -> "PostScale":
-        """Add delta to every reward."""
-        return cls(kind=PostScaleKind.SHIFT, value=delta)
-
-    @classmethod
     def parse(cls, text: str) -> "PostScale":
         """Read the text form; ``return-range`` alone means the target 1000."""
         name, sep, value = text.strip().partition(":")
         if name == PostScaleKind.RETURN_RANGE.value:
-            return cls.return_range(float(value)) if sep else cls.return_range()
+            return cls(name, float(value) if sep else 1000.0)
         if name == PostScaleKind.SHIFT.value and sep:
-            return cls.shift(float(value))
+            return cls(name, float(value))
         if name == PostScaleKind.NONE.value and not sep:
-            return cls.none()
+            return cls()
         raise ValueError(
             f"unknown post-scale spec {text!r}; "
             "expected none | return-range[:target] | shift:<delta>"
@@ -116,7 +102,7 @@ class LabelConfig:
     squash_beta: float = 5.0
     squash_scale: ScaleMode = ScaleMode.PLAIN
     action_dim: int | None = None
-    post_scale: PostScale = field(default_factory=PostScale.none)
+    post_scale: PostScale = field(default_factory=PostScale)
 
     def __post_init__(self):
         if not 0 < self.squash_alpha < math.inf:
@@ -296,22 +282,22 @@ def squash(raw: np.ndarray, cfg: LabelConfig) -> np.ndarray:
 def post_scale_rewards(
     dataset: list[LabeledTrajectory], mode: PostScale
 ) -> list[LabeledTrajectory]:
-    """Apply dataset-level reward rescaling or shifting."""
+    """One multiply-add, labels * scale + shift: (1, delta) for a shift, (target /
+    spread of episodic returns, 0) for return-range, the one kind needing an episode."""
     if mode.kind is PostScaleKind.NONE:
         return list(dataset)
-    if not dataset:
-        raise DataError("post-scaling requires at least one labeled episode")
+    scale, shift = 1.0, mode.value
     if mode.kind is PostScaleKind.RETURN_RANGE:
+        if not dataset:
+            raise DataError("post-scaling requires at least one labeled episode")
         returns = [lt.episodic_return() for lt in dataset]
         spread = max(returns) - min(returns)
         if not 0 < spread < math.inf:
             raise NumericError("all episodic returns are equal; range rescaling is undefined"
                                if spread <= 0 else "the span of episodic returns overflows")
-        factor = mode.value / spread
+        scale, shift = mode.value / spread, 0.0
     with np.errstate(over="ignore"):  # LabeledTrajectory rejects infinite labels
-        if mode.kind is PostScaleKind.RETURN_RANGE:
-            return [replace(lt, ot_rewards=lt.ot_rewards * factor) for lt in dataset]
-        return [replace(lt, ot_rewards=lt.ot_rewards + mode.value) for lt in dataset]
+        return [replace(lt, ot_rewards=lt.ot_rewards * scale + shift) for lt in dataset]
 
 
 def _label_one(

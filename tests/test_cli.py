@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import otreward
-from otreward import EpisodicDataset, LabelConfig, Trajectory, cli, errors, write_dataset
+from otreward import (EpisodicDataset, LabelConfig, Trajectory, cli, errors, read_dataset,
+                      write_dataset)
 from otreward.cli import main
 
 from conftest import make_episode
@@ -130,6 +131,25 @@ def test_label_preset_antmaze(small_files, tmp_path):
     # Squash lands in (0, 5]; the antmaze preset then shifts by -2.
     for rec in recs:
         assert all(-2.0 < r <= 3.0 for r in rec["rewards"])
+
+
+def test_label_post_scale_is_one_multiply_add_on_the_unscaled_labels(tmp_path, rng):
+    upath, epath = tmp_path / "u.jsonl", tmp_path / "e.jsonl"
+    write_episodes(upath, [make_episode(rng, int(rng.integers(5, 31)), 3, ep_id=f"u{i}")
+                           for i in range(6)])
+    write_episodes(epath, [make_episode(rng, 12, 3, ep_id="expert")])
+    labels = {}
+    for spec in ("none", "shift:-0.25", "return-range:7"):
+        out = tmp_path / f"{spec.replace(':', '_')}.jsonl"
+        assert main(["label", str(upath), str(epath), str(out), "--preset", "plain",
+                     "--max-iters", "50", "--parallelism", "1", "--post-scale", spec]) == 0
+        labels[spec] = [ep.rewards for ep in read_dataset(out).episodes]
+    returns = [float(np.asarray(rewards).sum()) for rewards in labels["none"]]
+    factor = 7.0 / (max(returns) - min(returns))
+    for none, shifted, ranged in zip(labels["none"], labels["shift:-0.25"],
+                                     labels["return-range:7"]):
+        assert shifted.tobytes() == (none + -0.25).tobytes()
+        assert ranged.tobytes() == (none * factor).tobytes()
 
 
 def test_select_experts_top_one(tmp_path, rng, capsys):

@@ -199,7 +199,7 @@ def test_full_coverage_fit_matches_value_iteration():
     for (cell, action), expected in oracle.items():
         if cell == env.goal:
             continue
-        assert q.value(cell, action) == pytest.approx(expected, abs=1e-6)
+        assert q.values[cell][action] == pytest.approx(expected, abs=1e-6)
     assert evaluate_policy(q, env) == 1.0
 
 
@@ -245,7 +245,7 @@ def test_q_fit_on_reference_config_is_pinned():
     assert q.trained_sweeps == 16
     assert np.count_nonzero(~np.isnan(q.values)) == 251
     # 14 moves from the start to the goal: the last pays 1, discounted 13 times.
-    assert q.value((0, 0), 0) == pytest.approx(0.99**13, abs=1e-12)
+    assert q.values[(0, 0)][0] == pytest.approx(0.99**13, abs=1e-12)
 
 
 def _loop_q(env, dataset, sweeps):
@@ -284,7 +284,7 @@ def test_fit_matches_per_transition_loop_bit_for_bit(sweeps):
     assert q.trained_sweeps == expected_sweeps
     assert np.count_nonzero(~np.isnan(q.values)) == len(expected)
     for (cell, action), value in expected.items():
-        assert q.value(cell, action) == value
+        assert q.values[cell][action] == value
 
 
 def test_config_rejects_repeated_key(tmp_path):
@@ -325,12 +325,14 @@ def test_action_vectors_are_unit_moves():
 
 @pytest.mark.parametrize(
     "text, post_scale",
-    [("none", PostScale.none()), ("return-range:250.0", PostScale.return_range(250.0)),
-     ("shift:-0.5", PostScale.shift(-0.5))],
-    ids=["none", "return-range", "shift"],
+    [("none", PostScale()), ("return-range:250.0", PostScale("return-range", 250.0)),
+     ("shift:-0.5", PostScale("shift", -0.5)),
+     ("return-range", PostScale("return-range", 1000.0))],
+    ids=["none", "return-range", "shift", "return-range-default"],
 )
 def test_harness_config_round_trip_is_lossless(tmp_path, text, post_scale):
     """The text spelling of each label setting loads as the setting it names."""
+    assert PostScale.parse(text) == post_scale
     base = reference_config()
     label = replace(
         base.label,
@@ -393,7 +395,7 @@ def test_run_demo_return_range_spans_experts_and_unlabeled(n_expert, labeler):
     # taken over the experts alone is zero.
     base = reference_config()
     config = replace(base, n_expert=n_expert,
-                     label=replace(base.label, post_scale=PostScale.return_range(1000.0)))
+                     label=replace(base.label, post_scale=PostScale("return-range", 1000.0)))
     result = run_demo(config, labeler)
     assert result.episodes_labeled == 100
 

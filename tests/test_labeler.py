@@ -164,21 +164,21 @@ def _labeled(rewards, ep_id=""):
 
 def test_post_scale_none_is_identity():
     data = [_labeled([1.0, 2.0]), _labeled([3.0])]
-    out = post_scale_rewards(data, PostScale.none())
+    out = post_scale_rewards(data, PostScale())
     assert [lt.ot_rewards.tolist() for lt in out] == [[1.0, 2.0], [3.0]]
 
 
 def test_post_scale_return_range_factor():
     # Returns 0 and 500 give factor 1000 / 500 = 2.
     data = [_labeled([0.0, 0.0]), _labeled([200.0, 300.0])]
-    out = post_scale_rewards(data, PostScale.return_range(1000.0))
+    out = post_scale_rewards(data, PostScale("return-range", 1000.0))
     assert out[0].ot_rewards.tolist() == [0.0, 0.0]
     assert out[1].ot_rewards.tolist() == [400.0, 600.0]
 
 
 def test_post_scale_shift():
     data = [_labeled([1.0, 2.5])]
-    out = post_scale_rewards(data, PostScale.shift(-2.0))
+    out = post_scale_rewards(data, PostScale("shift", -2.0))
     assert out[0].ot_rewards.tolist() == [-1.0, 0.5]
 
 
@@ -212,16 +212,18 @@ def test_squash_overflow_is_a_numeric_error_not_a_warning(rng):
 def test_post_scale_degenerate_range():
     data = [_labeled([1.0]), _labeled([0.5, 0.5])]
     with pytest.raises(NumericError, match="all episodic returns are equal"):
-        post_scale_rewards(data, PostScale.return_range())
+        post_scale_rewards(data, PostScale("return-range", 1000.0))
     with pytest.raises(DataError, match="at least one labeled episode"):
-        post_scale_rewards([], PostScale.return_range())
+        post_scale_rewards([], PostScale("return-range", 1000.0))
+    # Only the return range needs an episode; a shift of nothing is nothing.
+    assert post_scale_rewards([], PostScale("shift", -2.0)) == []
 
 
 def test_post_scale_return_range_that_overflows_is_a_numeric_error():
     # Each return is finite, but max - min is not; the factor would be 0.0.
     data = [_labeled([1e308], ep_id="hi"), _labeled([-1e308], ep_id="lo")]
     with pytest.raises(NumericError, match="span of episodic returns overflows"):
-        post_scale_rewards(data, PostScale.return_range())
+        post_scale_rewards(data, PostScale("return-range", 1000.0))
 
 
 def test_label_dataset_self_labeling(rng):
@@ -438,12 +440,12 @@ def test_label_config_validation():
         with pytest.raises(ValueError, match="squash_beta.*finite"):
             LabelConfig(squash_beta=bad)
         with pytest.raises(ValueError, match="finite"):
-            PostScale.shift(bad)
+            PostScale("shift", bad)
         with pytest.raises(ValueError, match="finite"):
-            PostScale.return_range(bad)
+            PostScale("return-range", bad)
     for bad in (0.0, -5.0):
         with pytest.raises(ValueError, match="return-range"):
-            PostScale.return_range(bad)
+            PostScale("return-range", bad)
         with pytest.raises(ValueError, match="return-range"):
             PostScale.parse(f"return-range:{bad}")
     # A finite beta whose exponent beta * 1000 / action_dim is not.
@@ -451,7 +453,7 @@ def test_label_config_validation():
         LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=1, squash_beta=1e306)
     with pytest.raises(ValueError, match="squash_beta.*finite"):
         LabelConfig().with_text({"squash_mode": "locomotion", "action_dim": "1", "beta": "1e306"})
-    assert PostScale.shift(0.0).value == 0.0
+    assert PostScale("shift", 0.0).value == 0.0
     cfg = LabelConfig(squash_scale=ScaleMode.LOCOMOTION, action_dim=6)
     assert cfg.squash_exponent() == pytest.approx(5.0 * 1000 / 6)
     assert LabelConfig.antmaze_preset().squash_exponent() == 1000.0
