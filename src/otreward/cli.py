@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     label.add_argument("--post-scale",
                        help="none | return-range[:target] | shift:<delta>")
     label.add_argument("--parallelism", type=int, default=0,
-                       help="worker processes, at most one per episode (0 = all cores)")
+                       help="processes, this one included, at most one per episode (0 = all cores)")
     label.set_defaults(func=cmd_label)
 
     select = sub.add_parser("select-experts", help="pick top episodes by return")

@@ -20,9 +20,9 @@ UDS (constant minimum reward on unlabeled episodes).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from collections.abc import Callable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -237,7 +237,7 @@ def ot_rewards_single(
 
 
 # An episode's raw rewards against one demonstration under some transport plan.
-# Pool workers receive it by pickling, so it must be a module-level function.
+# Spawned children receive it by pickling, so it must be a module-level function.
 PlanRewards = Callable[[Trajectory, Trajectory, LabelConfig], np.ndarray]
 
 
@@ -313,13 +313,55 @@ def _label_one(
 
 def resolve_workers(workers: int) -> int:
     """The process count label_dataset uses: 0 means every core it may run on."""
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = all cores), got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 0:
+        raise ValueError(f"workers must be an integer >= 0 (0 = all cores), got {workers!r}")
     if workers:
         return workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _label_claimed(label, episodes, counter, conn=None):
+    """(index, label(episode)) per index claimed from counter, up to a failure's exception."""
+    done = []
+    while not (done and isinstance(done[-1][1], Exception)):
+        with counter.get_lock():
+            i, counter.value = counter.value, counter.value + 1
+        if i >= len(episodes):
+            break
+        try:
+            done.append((i, label(episodes[i])))
+        except Exception as exc:
+            done.append((i, exc))
+    return done if conn is None else conn.send(done)
+
+
+def _fork_join(label, episodes: list[Trajectory], n: int) -> list[LabeledTrajectory]:
+    ctx = multiprocessing.get_context()
+    counter, children = ctx.Value("i", 0), []
+    try:
+        for _ in range(n - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_label_claimed, args=(label, episodes, counter, writer))
+            child.start()
+            children.append((child, reader))
+            writer.close()
+        done = _label_claimed(label, episodes, counter)
+        for child, reader in children:
+            done += reader.recv()
+            child.join()
+    except EOFError:  # the child ended without sending
+        child.join()
+        raise RuntimeError(f"a labeling process ended with code {child.exitcode}") from None
+    finally:
+        for child, _ in children:
+            child.terminate()  # only acts on a child not joined above
+            child.join()
+    done.sort(key=lambda pair: pair[0])
+    if failed := [result for _, result in done if isinstance(result, Exception)]:
+        raise failed[0]
+    return [result for _, result in done]
 
 
 def label_dataset(
@@ -333,9 +375,11 @@ def label_dataset(
 
     plan_rewards gives an episode's raw rewards against one demonstration:
     the optimal plan by default, uniform_plan_rewards for that baseline.
-    Episodes are independent, so workers > 1 fans them out to a process
-    pool of at most one worker per episode; the result is identical to the
-    sequential run, in input order.
+    Episodes are independent, so workers > 1 labels them here and in up to
+    workers - 1 children (one process per episode at most), each claiming the
+    next index from one shared counter. Under spawn or forkserver each child
+    also imports the package and is sent a pickled copy of the episodes.
+    Labels, order and failures match the sequential run.
     Post-scaling is a barrier and runs once all episodes are labeled.
     """
     workers = resolve_workers(workers)
@@ -344,12 +388,8 @@ def label_dataset(
     if not unlabeled:
         return []
     label_one = partial(_label_one, experts=experts, cfg=cfg, plan_rewards=plan_rewards)
-    if workers > 1 and len(unlabeled) > 1:
-        chunk = max(1, len(unlabeled) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=min(workers, len(unlabeled))) as pool:
-            labeled = list(pool.map(label_one, unlabeled, chunksize=chunk))
-    else:
-        labeled = list(map(label_one, unlabeled))
+    n = min(workers, len(unlabeled))
+    labeled = _fork_join(label_one, unlabeled, n) if n > 1 else list(map(label_one, unlabeled))
     return post_scale_rewards(labeled, cfg.post_scale)
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -277,39 +278,93 @@ def test_label_dataset_parallel_matches_sequential(rng, paper_length):
         assert a.source_expert == b.source_expert
 
 
-def test_pool_starts_at_most_one_worker_per_episode(rng, monkeypatch):
-    # Under fork, ProcessPoolExecutor starts all max_workers processes at the
-    # first submit; this fake starts none and records what it was asked for.
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
-
-    monkeypatch.setattr("otreward.labeler.ProcessPoolExecutor", InProcessPool)
-    experts = [make_episode(rng, 5, 3)]
-    eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(3)]
-    pooled = label_dataset(eps, experts, PLAIN, workers=8)
-    assert started == [3]
-    for a, b in zip(label_dataset(eps, experts, PLAIN, workers=1), pooled):
+def _assert_same_labels(expected, got):
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
         assert np.array_equal(a.ot_rewards, b.ot_rewards)
         assert np.array_equal(a.raw_ot_rewards, b.raw_ot_rewards)
         assert a.source_expert == b.source_expert
 
 
+def test_parallel_labeling_starts_at_most_one_process_per_episode(rng, monkeypatch):
+    # An in-process context: a child's start() runs its target inline, with a
+    # real Pipe and Value, so the count is checked without starting a process.
+    started = []
+    real = multiprocessing.get_context()
+
+    class InlineProcess:
+        exitcode = 0
+
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    class InlineContext:
+        Pipe, Value, Process = real.Pipe, real.Value, InlineProcess
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: InlineContext)
+    experts = [make_episode(rng, 5, 3), make_episode(rng, 7, 3)]
+    eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(3)]
+    sequential = label_dataset(eps, experts, PLAIN, workers=1)
+    assert started == []
+    _assert_same_labels(sequential, label_dataset(eps, experts, PLAIN, workers=8))
+    assert len(started) == 2
+
+    class DeadProcess(InlineProcess):  # ends without sending anything
+        exitcode = -9
+
+        def start(self):
+            pass
+
+    InlineContext.Process = DeadProcess
+    with pytest.raises(RuntimeError, match="code -9"):
+        label_dataset(eps, experts, PLAIN, workers=2)
+
+
+@pytest.mark.parametrize("missing", [{2, 3}, {0, 5}, {1, 2, 6}], ids=str)
+def test_parallel_failure_is_the_first_failing_episode(rng, missing):
+    # Episode 0 is long, so whichever process claims it is still busy while
+    # the others reach the planted episodes without actions.
+    cfg = PLAIN.with_text({"features": "state-action"})
+    experts = [make_episode(rng, 6, 3, with_actions=True)]
+    eps = [make_episode(rng, 200 if i == 0 else 6, 3, with_actions=i not in missing,
+                        ep_id=f"ep{i}") for i in range(8)]
+    with pytest.raises(Exception) as sequential:
+        label_dataset(eps, experts, cfg, workers=1)
+    with pytest.raises(type(sequential.value)) as parallel:
+        label_dataset(eps, experts, cfg, workers=3)
+    assert str(parallel.value) == str(sequential.value)
+    assert f"ep{min(missing)}" in str(parallel.value)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_labeling_under_other_start_methods(rng, monkeypatch, method):
+    # Children that start from a fresh interpreter get the episodes pickled.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available here")
+    context = multiprocessing.get_context(method)
+    experts = [make_episode(rng, 5, 3), make_episode(rng, 7, 3)]
+    eps = [make_episode(rng, int(rng.integers(2, 10)), 3) for _ in range(4)]
+    sequential = label_dataset(eps, experts, PLAIN, workers=1)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    _assert_same_labels(sequential, label_dataset(eps, experts, PLAIN, workers=2))
+
+
 def test_label_dataset_rejects_negative_workers(rng):
     experts = [make_episode(rng, 5, 3)]
-    with pytest.raises(ValueError, match="workers"):
-        label_dataset([make_episode(rng, 4, 3)], experts, PLAIN, workers=-1)
+    for workers in (-1, 2.5, "2", True, None):
+        with pytest.raises(ValueError, match="workers"):
+            label_dataset([make_episode(rng, 4, 3)], experts, PLAIN, workers=workers)
+    assert resolve_workers(np.int64(2)) == 2
 
 
 def test_zero_workers_counts_usable_cpus(monkeypatch):
