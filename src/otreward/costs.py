@@ -39,12 +39,13 @@ def _cosine_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ny = np.sqrt(np.einsum("jd,jd->j", y, y))
     zero_x = nx < ZERO_NORM_EPS
     zero_y = ny < ZERO_NORM_EPS
-    # Unit norms keep the division finite; those entries are set to 1 below.
-    nx[zero_x] = 1.0
-    ny[zero_y] = 1.0
-    out = np.clip(1.0 - np.einsum("id,jd->ij", x, y) / (nx[:, None] * ny), 0.0, 2.0)
-    out[zero_x, :] = 1.0
-    out[:, zero_y] = 1.0
+    degenerate = zero_x.any() or zero_y.any()
+    if degenerate:  # unit norms keep the division finite; those entries are set to 1 below
+        nx[zero_x], ny[zero_y] = 1.0, 1.0
+    out = 1.0 - np.einsum("id,jd->ij", x, y) / (nx[:, None] * ny)
+    np.minimum(np.maximum(out, 0.0, out=out), 2.0, out=out)  # np.clip, without its overhead
+    if degenerate:
+        out[zero_x, :], out[:, zero_y] = 1.0, 1.0
     return out
 
 

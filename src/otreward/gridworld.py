@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -133,9 +133,9 @@ def _eps_greedy(env: Gridworld, rng: np.random.Generator, eps: float) -> Policy:
     return policy
 
 
-def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
-    """Walk from the start until the goal, the horizon, or a None action."""
-    cells = [env.start]
+def _rollout(env: Gridworld, policy: Policy, ep_id: str, rewarded: bool = False) -> Trajectory:
+    """Walk from the start until the goal, the horizon, or a None action; rewards if rewarded."""
+    xy = list(env.start)  # x, y of every cell visited, in order
     actions: list[int] = []
     cell = env.start
     for _ in range(env.horizon):
@@ -146,12 +146,13 @@ def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
             break
         actions.append(action)
         cell = env.step(cell, action)
-        cells.append(cell)
-    at_goal = np.array([c == env.goal for c in cells])
+        xy += cell
+    at_goal = np.zeros(len(xy) // 2, dtype=bool)
+    at_goal[-1] = cell == env.goal  # the walk stops there, and the start is not the goal
     return Trajectory(
-        observations=env.observation(np.array(cells).T),
-        actions=np.array([[float(a)] for a in actions]) if actions else None,
-        rewards=_move_rewards(env, at_goal),
+        observations=env.observation(np.array(xy).reshape(-1, 2).T),
+        actions=np.array(actions, dtype=np.float64)[:, None] if actions else None,
+        rewards=_move_rewards(env, at_goal) if rewarded else None,
         terminals=at_goal,
         id=ep_id,
     )
@@ -168,7 +169,7 @@ def generate_dataset(
     """Roll out expert, noisy-expert and uniform-random episodes.
 
     Returns (experts, unlabeled). Expert episodes keep their ground-truth
-    rewards; the unlabeled set has rewards stripped (ground_truth_rewards
+    rewards; the unlabeled episodes carry none (ground_truth_rewards
     recomputes them). Identical seeds produce identical datasets.
     """
     if n_expert < 1:
@@ -176,13 +177,12 @@ def generate_dataset(
     if n_medium < 0 or n_random < 0:
         raise ValueError("episode counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}")
+    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}", rewarded=True)
                for i in range(n_expert)]
     medium, random_walk = _eps_greedy(env, rng, MEDIUM_EPSILON), _eps_greedy(env, rng, 1.0)
     mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
     mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
-    return (EpisodicDataset(episodes=experts),
-            EpisodicDataset(episodes=[replace(ep, rewards=None) for ep in mixed]))
+    return EpisodicDataset(episodes=experts), EpisodicDataset(episodes=mixed)
 
 
 @dataclass

@@ -53,6 +53,7 @@ _KERNEL_SUM_MIN = 1e-100
 _KERNEL_ENTRY_MIN = 1e-220
 # Sinkhorn iterations run between two evaluations of the guards.
 _BLOCK = 32
+_FLOAT64_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,8 @@ def _solve_on_support(cost, a, b, solve) -> Coupling:
     check_weights(a, "marginal weights", NumericError)
     check_weights(b, "marginal weights", NumericError)
 
-    rows, cols = a > 0, b > 0
-    full = rows.all() and cols.all()  # as always when labeling: no copy, no scatter back
+    full = a.min() > 0 and b.min() > 0  # as always when labeling: no copy, no scatter back
+    rows, cols = (slice(None), slice(None)) if full else (a > 0, b > 0)
     sub = cost if full else cost[np.ix_(rows, cols)]
     plan_sub, iterations, converged = solve(sub, a[rows], b[cols])
 
@@ -174,13 +175,17 @@ def _sinkhorn_active(
     scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is the
     textbook pair u = log a - logsumexp(v - C/eps), v = log b - logsumexp(u - C/eps).
 
+    Setup builds the first kernel in place and each row view once; an SV row
+    ends one step and starts the next.
+
     Blocks of at most _BLOCK plain updates keep their iterates in rows of SU,
     RS, CS, SV; every guard is then decided for every iteration, in order. The
     underflow test is exact, as a minimum ignores summation order: one minimum
     over the block's RS | CS buffer, then a row search only if it fires. The
-    L-infinity plan check runs where the matvec row residual is within tol
-    plus slack. A candidate that fails it with an identical next iterate is a
-    fixpoint: every later iteration repeats it, so it is the capped result.
+    L-infinity plan check runs where the matvec row residual, screened in the
+    preallocated RES buffer, is within tol plus slack. A candidate that fails
+    it with an identical next iterate is a fixpoint: every later iteration
+    repeats it, so it is the capped result.
     Rows after the first underflow are dropped; its half-steps rerun. Blocks
     are cut where the last one's residual decay predicts tol; no iterate moves.
     The first block is one iteration when a column of the first kernel has no
@@ -190,19 +195,24 @@ def _sinkhorn_active(
     tol, eps = params.marginal_tolerance, params.epsilon
     f, su = C.min(axis=1) / eps, np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = np.exp(f[:, None] - C / eps)  # every row holds a 1, so no first-step underflow
-    G[G < _KERNEL_ENTRY_MIN] = 0
+    G = C / eps  # then exp(f - C/eps) in place: every row holds a 1, so no first-step underflow
+    np.exp(np.subtract(f[:, None], G, out=G), out=G)
+    np.putmask(G, G < _KERNEL_ENTRY_MIN, 0)
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
     SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
     RS, CS = SUMS[:, :len(a)], SUMS[:, len(a):]
-    steps = list(zip(SV, RS, SU[1:], CS, SV[1:]))
+    RES = np.empty((_BLOCK, len(a)))  # the block's row residuals
+    sv_rows = list(SV)  # row i + 1 ends step i and starts step i + 1
+    steps = list(zip(sv_rows, RS, SU[1:], CS, sv_rows[1:]))
     # The matvec and plan row sums reach the row mass su_i * sum_j G_ij sv_j
     # through len(b) + 1 roundings each, so in any summation order they differ
     # by at most 2 * len(b) * eps times it (Higham's gamma bound), and a row
     # that passes the plan check has mass <= a.max() + tol. The factor 2 on top
     # covers rounding the residuals and tol + slack: no passing plan is skipped.
-    slack = 4 * len(b) * np.finfo(np.float64).eps * (a.max() + tol)
-    it, k = 0, 1 if G.max(axis=0).min() < _KERNEL_SUM_MIN else _BLOCK
+    slack = 4 * len(b) * _FLOAT64_EPS * (a.max() + tol)
+    # A column all below _KERNEL_SUM_MIN puts G.min() below it: the cheap test goes first.
+    must_underflow = G.min() < _KERNEL_SUM_MIN and G.max(axis=0).min() < _KERNEL_SUM_MIN
+    it, k = 0, 1 if must_underflow else _BLOCK
     while it < params.max_iterations:
         k = min(k, params.max_iterations - it)
         SU[0], SV[0] = su, sv
@@ -215,7 +225,8 @@ def _sinkhorn_active(
             # Rows past an underflow may hold NaN, which fails every comparison.
             low = not SUMS[:k].min() >= _KERNEL_SUM_MIN
             done = int(np.argmin(SUMS[:k].min(axis=1) >= _KERNEL_SUM_MIN)) + 1 if low else k
-        R = np.abs(SU[:done] * RS[:done] - a).max(axis=1)
+        R = np.multiply(SU[:done], RS[:done], out=RES[:done])
+        R = np.abs(np.subtract(R, a, out=R), out=R).max(axis=1)
         if R.min() <= tol + slack:
             for j in np.flatnonzero(R <= tol + slack):
                 if it + j > 0:
@@ -251,5 +262,10 @@ def sinkhorn(
     params.marginal_tolerance in the L-infinity sense, or one flagged
     converged=False if the iteration budget runs out. Identical inputs
     always produce bit-identical couplings.
+
+    Kernel entries below 1e-220 are dropped. That keeps plans bit-exact
+    (bar a rare 1-ulp rounding tie) only while max(T, T') <= 10,000, where
+    the dropped entries lie below the last bit of every kernel sum. Longer
+    episodes are not refused; their plans may move by a few ulps.
     """
     return _solve_on_support(cost, a, b, partial(_sinkhorn_active, params=params))

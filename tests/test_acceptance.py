@@ -30,10 +30,10 @@ from otreward import (
     write_dataset,
 )
 from otreward.cli import main
-from otreward.dataset_io import EpisodicDataset
-from otreward.labeler import ScaleMode
+from otreward.dataset_io import EpisodicDataset, return_correlations
+from otreward.labeler import ScaleMode, optimal_plan_rewards
 
-from conftest import make_episode, random_cost_instance
+from conftest import make_circle_episode, make_episode, make_gait_episode, random_cost_instance
 from lp_oracle import lp_oracle
 
 PLAIN = LabelConfig.plain_preset()
@@ -285,4 +285,48 @@ def test_criterion_10_cli_determinism(tmp_path):
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     report(10, ok, f"byte-identical outputs across parallelism 1 and 8: {ok}")
+    assert ok
+
+
+@pytest.mark.parametrize("length, dim", [(100, 8), (1000, 17)])
+def test_criterion_11_default_solver_converges_on_gait_shaped_episodes(length, dim):
+    # I.i.d. features (make_episode) can run past the iteration cap; smooth
+    # periodic ones, like the paper's locomotion data, must converge.
+    tol, iterations = SinkhornParams().marginal_tolerance, []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        episode, expert = make_gait_episode(rng, length, dim), make_gait_episode(rng, length, dim)
+        _, coupling = ot_rewards_single(episode, expert, LabelConfig())
+        ok = (coupling.converged
+              and np.abs(coupling.plan.sum(axis=1) - coupling.row_marginal).max() <= tol
+              and np.abs(coupling.plan.sum(axis=0) - coupling.col_marginal).max() <= tol)
+        iterations.append(coupling.iterations if ok else None)
+    ok = None not in iterations
+    report(11, ok, f"T = {length}, d = {dim}: iterations to tolerance {iterations} "
+                   f"(None: not converged) over 3 seeds")
+    assert ok
+
+
+def test_criterion_12_optimal_plan_tracks_the_expert_where_uniform_does_not():
+    # The uniform plan rewards a step by its mean cost to the expert, which
+    # favours states near the circle's centre; the optimal plan rewards
+    # matching the circle itself.
+    cfg = LabelConfig.plain_preset().with_text({"cost": "squared-euclidean"})
+    results = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        expert = [make_circle_episode(rng, 200)]
+        episodes = [make_circle_episode(rng, 200, rng.uniform(0.0, 1.6), rng.uniform(0.0, 0.3))
+                    for _ in range(40)]
+        true = [float(-np.abs(np.linalg.norm(ep.observations[:, :2], axis=1) - 1.0).sum())
+                for ep in episodes]
+        spearman = []
+        for plan_rewards in (optimal_plan_rewards, uniform_plan_rewards):
+            labeled = label_dataset(episodes, expert, cfg, plan_rewards=plan_rewards)
+            raw = [float(lt.raw_ot_rewards.sum()) for lt in labeled]
+            spearman.append(return_correlations(raw, true)[1])
+        results.append(spearman)
+    ok = all(opt >= 0.7 and uni <= 0.0 for opt, uni in results)
+    report(12, ok, "raw-return Spearman (optimal, uniform) over 3 seeds: "
+                   + ", ".join(f"({opt:.2f}, {uni:.2f})" for opt, uni in results))
     assert ok

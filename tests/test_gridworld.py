@@ -388,6 +388,16 @@ def test_run_demo_uniform_on_reference_config():
     assert result.spearman == pytest.approx(0.7689987879792732, abs=1e-12)
 
 
+def test_run_demo_otr_on_reference_config():
+    # Pins the demo's labels: a change that moves any of them moves these values.
+    result = run_demo(reference_config(), "otr")
+    assert result.success_rate == 1.0
+    assert result.episodes_labeled == 100
+    assert result.trained_sweeps == 17
+    assert result.pearson == pytest.approx(0.8865698919917508, abs=1e-12)
+    assert result.spearman == pytest.approx(0.7487106413659186, abs=1e-12)
+
+
 @pytest.mark.parametrize("labeler", ["otr", "uniform"])
 @pytest.mark.parametrize("n_expert", [1, 3])
 def test_run_demo_return_range_spans_experts_and_unlabeled(n_expert, labeler):
