@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -324,6 +325,8 @@ def resolve_workers(workers: int) -> int:
 
 def _label_claimed(label, episodes, counter, conn=None):
     """(index, label(episode)) per index claimed from counter, up to a failure's exception."""
+    if conn is not None:  # a child: SIGTERM must end it, whatever handler it inherited
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     done = []
     while not (done and isinstance(done[-1][1], Exception)):
         with counter.get_lock():

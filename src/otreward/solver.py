@@ -7,18 +7,19 @@ matrix-vector scalings (Cuturi 2013) on a stabilized kernel (Schmitzer
 whose kernel sums would underflow runs in the log domain instead, so small
 eps and large costs stay stable. The kernel is truncated (Schmitzer 2019):
 entries below _KERNEL_ENTRY_MIN = 1e-220 are stored as 0, which keeps
-subnormal operands, and x86's slow path on them, out of the matvecs. A
-plain half-step only uses kernel sums of at least _KERNEL_SUM_MIN with
-scalings of at most 1 / _KERNEL_SUM_MIN, so while T and T' are at most
-10,000 all dropped entries of a row or column together lie below the last
-bit of any such sum. The iterates are the textbook ones. Every guard is
-still decided on every iteration, once per block of iterations: the
-underflow test exactly, by one minimum over the block, and the stop rule
-after an L-infinity screen that passes every iteration whose plan could
-meet the tolerance. The first block is a single iteration when the first
-kernel has a column that must underflow. The loop calls ndarray.dot:
-np.dot's C routine without its __array_function__ dispatch, so the same
-bits.
+subnormal operands, and x86's slow path on them, out of the matvecs. exp
+arguments are raised to _EXP_FLOOR = log(_KERNEL_ENTRY_MIN) - 1, which keeps
+exp off its slow path for results that underflow and moves no result. A plain
+half-step only uses kernel sums of at least _KERNEL_SUM_MIN with scalings of
+at most 1 / _KERNEL_SUM_MIN, so while T and T' are at most 10,000 all dropped
+entries of a row or column together lie below the last bit of any such sum.
+The iterates are the textbook ones. Every guard is still decided on every
+iteration, once per block of iterations: the underflow test exactly, by one
+minimum over the block, and the stop rule after an L-infinity screen that
+passes every iteration whose plan could meet the tolerance. The first block is
+a single iteration when the first kernel has a column that must underflow. The
+loop calls ndarray.dot: np.dot's C routine without its __array_function__
+dispatch, so the same bits.
 
 Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
@@ -51,6 +52,11 @@ _KERNEL_SUM_MIN = 1e-100
 # squared-Euclidean, eps 0.1 to 0.001) one reward vector moved by 1 ulp, and
 # no iteration count, flag or cost.
 _KERNEL_ENTRY_MIN = 1e-220
+# exp arguments are raised to at least this, as numpy's exp is slow where it
+# underflows (118 us against 9.6 us on an 80 x 80 kernel). No result moves: a
+# lower argument gives an entry below _KERNEL_ENTRY_MIN / e, stored as 0 either
+# way, and 1e200 times below the last bit of the rebuilt row sum (>= 1) it is in.
+_EXP_FLOOR = math.log(_KERNEL_ENTRY_MIN) - 1
 # Sinkhorn iterations run between two evaluations of the guards.
 _BLOCK = 32
 _FLOAT64_EPS = np.finfo(np.float64).eps
@@ -157,10 +163,10 @@ def _half_step(C, eps, G, sums, target, pot, other_pot, other_scale):
     np.subtract(other_pot, C / eps, out=G)
     top = G.max(axis=1)
     G -= top[:, None]
-    np.exp(G, out=G)
+    np.exp(np.maximum(G, _EXP_FLOOR, out=G), out=G)
     sums = G.sum(axis=1)
     G *= (target / sums)[:, None]
-    G[G < _KERNEL_ENTRY_MIN] = 0
+    np.multiply(G, G >= _KERNEL_ENTRY_MIN, out=G)
     pot = np.log(target) - top - np.log(sums)
     return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
 
@@ -196,12 +202,12 @@ def _sinkhorn_active(
     f, su = C.min(axis=1) / eps, np.ones(len(a))
     g, sv = np.zeros(len(b)), np.ones(len(b))
     G = C / eps  # then exp(f - C/eps) in place: every row holds a 1, so no first-step underflow
-    np.exp(np.subtract(f[:, None], G, out=G), out=G)
-    np.putmask(G, G < _KERNEL_ENTRY_MIN, 0)
+    np.exp(np.maximum(np.subtract(f[:, None], G, out=G), _EXP_FLOOR, out=G), out=G)
+    np.multiply(G, G >= _KERNEL_ENTRY_MIN, out=G)
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
     SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
     RS, CS = SUMS[:, :len(a)], SUMS[:, len(a):]
-    RES = np.empty((_BLOCK, len(a)))  # the block's row residuals
+    RES, ROWS = np.empty((_BLOCK, len(a))), np.arange(_BLOCK)  # row residuals, row numbers
     sv_rows = list(SV)  # row i + 1 ends step i and starts step i + 1
     steps = list(zip(sv_rows, RS, SU[1:], CS, sv_rows[1:]))
     # The matvec and plan row sums reach the row mass su_i * sum_j G_ij sv_j
@@ -213,40 +219,45 @@ def _sinkhorn_active(
     # A column all below _KERNEL_SUM_MIN puts G.min() below it: the cheap test goes first.
     must_underflow = G.min() < _KERNEL_SUM_MIN and G.max(axis=0).min() < _KERNEL_SUM_MIN
     it, k = 0, 1 if must_underflow else _BLOCK
-    while it < params.max_iterations:
-        k = min(k, params.max_iterations - it)
-        SU[0], SV[0] = su, sv
-        with np.errstate(all="ignore"):  # past an underflow the rows are discarded
+    cap, bound, dot, divide = params.max_iterations, tol + slack, G.dot, np.divide
+    # Only discarded rows, past an underflow, divide by 0 or hold NaN; elsewhere
+    # every operand is finite and every divisor and log argument positive.
+    with np.errstate(all="ignore"):
+        while it < cap:
+            k = min(k, cap - it)
+            SU[0], SV[0] = su, sv
             for sv0, rs, su1, cs, sv1 in steps[:k]:
-                G.dot(sv0, rs)
-                np.divide(a, rs, su1)
+                dot(sv0, rs)
+                divide(a, rs, su1)
                 su1.dot(G, cs)
-                np.divide(b, cs, sv1)
-            # Rows past an underflow may hold NaN, which fails every comparison.
-            low = not SUMS[:k].min() >= _KERNEL_SUM_MIN
+                divide(b, cs, sv1)
+            # Rows past an underflow may hold NaN, which fails every comparison. x[x.argmin()]
+            # is x.min(), NaN included, without a reduction's fixed cost; likewise argmax.
+            low = not SUMS[:k].ravel()[SUMS[:k].argmin()] >= _KERNEL_SUM_MIN
             done = int(np.argmin(SUMS[:k].min(axis=1) >= _KERNEL_SUM_MIN)) + 1 if low else k
-        R = np.multiply(SU[:done], RS[:done], out=RES[:done])
-        R = np.abs(np.subtract(R, a, out=R), out=R).max(axis=1)
-        if R.min() <= tol + slack:
-            for j in np.flatnonzero(R <= tol + slack):
-                if it + j > 0:
-                    plan = SU[j][:, None] * G * SV[j]
-                    if (np.abs(plan.sum(axis=1) - a).max() <= tol
-                            and np.abs(plan.sum(axis=0) - b).max() <= tol):
-                        return plan, it + int(j) + 1, True
-                    if (j + 1 < done and np.array_equal(SU[j + 1], SU[j])
-                            and np.array_equal(SV[j + 1], SV[j])):
-                        return plan, params.max_iterations, False
-        su, sv = SU[done], SV[done]
-        if low:
-            f, su, g, sv = _half_step(C, eps, G, RS[done - 1], a, f, g, SV[done - 1])
-            g, sv, f, su = _half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
-        it += done
-        k = _BLOCK  # unless R, falling geometrically from r0 to r1, should meet tol sooner
-        r0, r1 = float(R[0]), float(R[-1])
-        if not low and done > 1 and tol < r1 and r1 * r1 < tol * r0:
-            rate = (math.log(r1) - math.log(r0)) / (done - 1)
-            k = min(_BLOCK, 1 + math.ceil((math.log(tol) - math.log(r1)) / rate))
+            R = np.multiply(SU[:done], RS[:done], out=RES[:done])
+            np.abs(np.subtract(R, a, out=R), out=R)
+            R = R[ROWS[:done], R.argmax(axis=1)]  # each row's largest residual
+            if R[R.argmin()] <= bound:
+                for j in np.flatnonzero(R <= bound):
+                    if it + j > 0:
+                        plan = SU[j][:, None] * G * SV[j]
+                        if (np.abs(plan.sum(axis=1) - a).max() <= tol
+                                and np.abs(plan.sum(axis=0) - b).max() <= tol):
+                            return plan, it + int(j) + 1, True
+                        if (j + 1 < done and np.array_equal(SU[j + 1], SU[j])
+                                and np.array_equal(SV[j + 1], SV[j])):
+                            return plan, cap, False
+            su, sv = SU[done], SV[done]
+            if low:
+                f, su, g, sv = _half_step(C, eps, G, RS[done - 1], a, f, g, SV[done - 1])
+                g, sv, f, su = _half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
+            it += done
+            k = _BLOCK  # unless R, falling geometrically from r0 to r1, should meet tol sooner
+            r0, r1 = float(R[0]), float(R[-1])
+            if not low and done > 1 and tol < r1 and r1 * r1 < tol * r0:
+                rate = (math.log(r1) - math.log(r0)) / (done - 1)
+                k = min(_BLOCK, 1 + math.ceil((math.log(tol) - math.log(r1)) / rate))
     return su[:, None] * G * sv, it, False
 
 

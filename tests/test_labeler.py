@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from otreward import (
     uniform_plan_rewards,
 )
 from otreward.errors import DataError, DimensionMismatch, NumericError
-from otreward.labeler import LABEL_KEYS, resolve_workers
+from otreward.labeler import LABEL_KEYS, _fork_join, resolve_workers
 
 from conftest import make_episode
 
@@ -328,6 +330,61 @@ def test_parallel_labeling_starts_at_most_one_process_per_episode(rng, monkeypat
     InlineContext.Process = DeadProcess
     with pytest.raises(RuntimeError, match="code -9"):
         label_dataset(eps, experts, PLAIN, workers=2)
+
+
+def _fork_context(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available here")
+    context = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+
+
+def _wait_for_children(timeout=30.0):
+    """Return once every child of this process has ended, so they claim the other episodes."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def _host_sigterm_handler(signum, frame):
+    """A host handler that does not exit, as a benchmark's clean-up handler may be."""
+
+
+def test_label_children_restore_the_default_sigterm_action(monkeypatch):
+    # A forked child inherits its parent's handlers. _fork_join's clean-up
+    # terminates a child it has not joined, which must end it.
+    _fork_context(monkeypatch)
+    host = os.getpid()
+
+    def label(episode):
+        if os.getpid() == host:
+            _wait_for_children()
+        return os.getpid(), signal.getsignal(signal.SIGTERM)
+
+    previous = signal.signal(signal.SIGTERM, _host_sigterm_handler)
+    try:
+        results = _fork_join(label, list(range(6)), 3)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    reported = [handler for pid, handler in results if pid != host]
+    assert reported and all(handler == signal.SIG_DFL for handler in reported)
+
+
+def test_a_child_that_ends_without_sending_is_reported(rng, monkeypatch):
+    _fork_context(monkeypatch)
+    host = os.getpid()
+
+    def plan_rewards(episode, expert, cfg):
+        if os.getpid() != host:
+            os._exit(7)
+        _wait_for_children()
+        return uniform_plan_rewards(episode, expert, cfg)
+
+    experts = [make_episode(rng, 5, 3)]
+    eps = [make_episode(rng, 4, 3) for _ in range(2)]
+    with pytest.raises(RuntimeError, match="ended with code 7"):
+        label_dataset(eps, experts, PLAIN, workers=2, plan_rewards=plan_rewards)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("missing", [{2, 3}, {0, 5}, {1, 2, 6}], ids=str)

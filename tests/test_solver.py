@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from otreward import CostKind, SinkhornParams, sinkhorn
 from otreward.solver import (
     _BLOCK,
+    _EXP_FLOOR,
     _KERNEL_ENTRY_MIN,
     _KERNEL_SUM_MIN,
     _half_step,
@@ -194,14 +195,36 @@ def test_iterates_match_textbook_updates(kind, eps, seed):
         assert np.abs(coupling.plan - expected).max() <= 1e-12
 
 
+def unfloored_first_kernel(C, eps):
+    """The solver's first log-potentials f and kernel, with no floor on exp's arguments."""
+    f = C.min(axis=1) / eps
+    G = np.exp(f[:, None] - C / eps)
+    G[G < _KERNEL_ENTRY_MIN] = 0  # the solver's truncation of the first kernel
+    return f, G
+
+
+def unfloored_half_step(C, eps, G, sums, target, pot, other_pot, other_scale):
+    """The solver's _half_step with no floor on exp's arguments: the reference for its rebuilds."""
+    if sums.min() >= _KERNEL_SUM_MIN:
+        return pot, target / sums, other_pot, other_scale
+    other_pot = other_pot + np.log(other_scale)
+    np.subtract(other_pot, C / eps, out=G)
+    top = G.max(axis=1)
+    G -= top[:, None]
+    np.exp(G, out=G)
+    sums = G.sum(axis=1)
+    G *= (target / sums)[:, None]
+    G[G < _KERNEL_ENTRY_MIN] = 0
+    pot = np.log(target) - top - np.log(sums)
+    return pot, np.ones_like(target), other_pot, np.ones_like(other_scale)
+
+
 def per_iteration_sinkhorn(C, a, b, params):
     """Reference: the solver loop with the plan check made on every iteration."""
     tol = params.marginal_tolerance
     eps = params.epsilon
-    f, su = C.min(axis=1) / eps, np.ones(len(a))
-    g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = np.exp(f[:, None] - C / eps)
-    G[G < _KERNEL_ENTRY_MIN] = 0  # the solver's truncation of the first kernel
+    f, G = unfloored_first_kernel(C, eps)
+    su, g, sv = np.ones(len(a)), np.zeros(len(b)), np.ones(len(b))
     converged = False
     for it in range(params.max_iterations):
         row_sums = np.dot(G, sv)
@@ -211,8 +234,8 @@ def per_iteration_sinkhorn(C, a, b, params):
                     and np.abs(plan.sum(axis=0) - b).max() <= tol):
                 converged = True
                 break
-        f, su, g, sv = _half_step(C, eps, G, row_sums, a, f, g, sv)
-        g, sv, f, su = _half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
+        f, su, g, sv = unfloored_half_step(C, eps, G, row_sums, a, f, g, sv)
+        g, sv, f, su = unfloored_half_step(C.T, eps, G.T, np.dot(su, G), b, g, f, su)
     else:
         plan = su[:, None] * G * sv
     return plan, it + 1, converged
@@ -379,6 +402,52 @@ def test_kernel_holds_no_subnormals(monkeypatch):
     _sinkhorn_active(C, a, b, params)
     assert kernels and rebuilt
     assert not any(_holds_nonzero_below(G, _KERNEL_ENTRY_MIN) for G in kernels + rebuilt)
+
+
+def _layout_copies(args):
+    """Copies of a half-step's arguments, each array in its own memory order."""
+    return [np.copy(x, order="K") if isinstance(x, np.ndarray) else x for x in args]
+
+
+def _lowest_exp_argument(C, eps, G, sums, target, pot, other_pot, other_scale):
+    X = other_pot + np.log(other_scale) - C / eps
+    return (X - X.max(axis=1)[:, None]).min()
+
+
+# Squared-Euclidean state-action costs as the CLI benchmark labels them (d = 14,
+# eps = 0.01, T and T' in [20, 80], run to the cap), and cosine costs at
+# eps = 0.001, give exp arguments far below _EXP_FLOOR in both kernel builds.
+@pytest.mark.parametrize("rows, cols, kind, dim, eps", [
+    (80, 80, CostKind.SQUARED_EUCLIDEAN, 14, 0.01),
+    (80, 20, CostKind.SQUARED_EUCLIDEAN, 14, 0.01),
+    (20, 80, CostKind.SQUARED_EUCLIDEAN, 14, 0.01),
+    (100, 100, CostKind.COSINE, 8, 0.001),
+    (20, 80, CostKind.COSINE, 3, 0.001),
+])
+def test_exp_floor_moves_no_kernel_bit(monkeypatch, rows, cols, kind, dim, eps):
+    C, a, b = random_cost_instance(np.random.default_rng(0), rows, cols, dim=dim, cost=kind)
+    first_kernel, rebuilds = [], []
+
+    def recording_half_step(*args):
+        G, sums = args[2], args[3]
+        if not first_kernel:
+            first_kernel.append(G.copy())  # no rebuild has run yet
+        if sums.min() < _KERNEL_SUM_MIN:
+            rebuilds.append(_layout_copies(args))
+        return _half_step(*args)
+
+    monkeypatch.setattr("otreward.solver._half_step", recording_half_step)
+    _, iterations, _ = _sinkhorn_active(C, a, b, SinkhornParams(epsilon=eps))
+    assert iterations == 1000 and rebuilds
+    f, expected = unfloored_first_kernel(C, eps)
+    assert (f[:, None] - C / eps).min() < _EXP_FLOOR
+    assert np.array_equal(first_kernel[0], expected)
+    assert min(_lowest_exp_argument(*args) for args in rebuilds) < _EXP_FLOOR
+    for args in rebuilds:
+        floored = _layout_copies(args)
+        got, want = _half_step(*floored), unfloored_half_step(*args)
+        assert np.array_equal(floored[2], args[2])  # the rebuilt kernel
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 # Squared-Euclidean costs at d = 14 and eps = 0.01 leave a column of the first
