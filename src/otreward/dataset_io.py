@@ -126,18 +126,39 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
 
     Raises ParseError (with the line number) for malformed records,
     DataError for NaN/Inf numbers, and DimensionMismatch when episodes
-    disagree on feature dimensions.
+    disagree on feature dimensions. A line that is not UTF-8 is a ParseError.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_lines(fh)
+    except UnicodeDecodeError:
+        # Text mode decodes a chunk ahead of the lines it yields, so the error
+        # has no line number: read again, checking each line as it is parsed.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return _parse_lines(_utf8_lines(fh))
+
+
+def _utf8_lines(lines):
+    """Yield the lines; raise ParseError at the first holding an undecoded byte."""
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # surrogateescape stored byte b as U+DC00 + b
+            byte = ord(line[exc.start]) - 0xDC00
+            raise ParseError(line_no, f"not UTF-8 text: byte 0x{byte:02x}") from None
+        yield line
+
+
+def _parse_lines(lines) -> EpisodicDataset:
     episodes: list[Trajectory] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
-            episodes.append(_parse_record(rec, line_no, len(episodes)))
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        episodes.append(_parse_record(rec, line_no, len(episodes)))
     return EpisodicDataset(episodes=episodes)
 
 

@@ -3,9 +3,9 @@
 Stands in for a full offline RL stack at a size where ground truth is
 computable: generate a mixed-quality episodic dataset, label it, run
 tabular Q-iteration restricted to dataset support, and roll out the greedy
-policy. A move into the goal pays Gridworld.goal_reward (default 1) and
-every other move pays Gridworld.step_reward (default 0); with the defaults,
-an episode's true return is whether it reached the goal.
+policy. A move into the goal pays GOAL_REWARD (1) and every other move
+pays STEP_REWARD (0), so an episode's true return is whether it reached the
+goal; the Q-fit discounts by DISCOUNT (0.99), the gamma of the paper's IQL.
 
 Rewards are attached per state: rewards[t] belongs to the transition
 (s_t, a_t, s_{t+1}); the final entry has no outgoing transition and is 0.
@@ -13,10 +13,9 @@ Rewards are attached per state: rewards[t] belongs to the transition
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +38,9 @@ ACTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # right, left, up, down
 N_ACTIONS = len(ACTIONS)
 MEDIUM_EPSILON = 0.3
 Q_CONVERGENCE_TOL = 1e-8
+GOAL_REWARD = 1.0
+STEP_REWARD = 0.0
+DISCOUNT = 0.99
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,7 @@ class Gridworld:
     height: int
     start: tuple[int, int]
     goal: tuple[int, int]
-    step_reward: float = 0.0
-    goal_reward: float = 1.0
     horizon: int = 0  # 0 means the default 4 * (width + height)
-    discount: float = 0.99
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -70,11 +69,6 @@ class Gridworld:
                 f"horizon {self.horizon} shorter than start-goal distance "
                 f"{self.manhattan_distance()}"
             )
-        if not 0 < self.discount < 1:
-            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
-        for name in ("step_reward", "goal_reward"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def manhattan_distance(self) -> int:
         return abs(self.start[0] - self.goal[0]) + abs(self.start[1] - self.goal[1])
@@ -114,11 +108,6 @@ class Gridworld:
         return 2 if self.goal[1] > cell[1] else 3
 
 
-def _move_rewards(env: Gridworld, at_goal: np.ndarray) -> np.ndarray:
-    """rewards[t] is goal_reward if step t + 1 is at the goal, else step_reward; the last is 0."""
-    return np.append(np.where(at_goal[1:], env.goal_reward, env.step_reward), 0.0)
-
-
 Policy = Callable[[tuple[int, int]], int | None]
 
 
@@ -126,15 +115,15 @@ def _eps_greedy(env: Gridworld, rng: np.random.Generator, eps: float) -> Policy:
     """With probability eps a uniform action, else the shortest-path one."""
 
     def policy(cell: tuple[int, int]) -> int:
-        if eps > 0 and rng.random() < eps:
+        if rng.random() < eps:
             return int(rng.integers(N_ACTIONS))
         return env.shortest_path_action(cell)
 
     return policy
 
 
-def _rollout(env: Gridworld, policy: Policy, ep_id: str, rewarded: bool = False) -> Trajectory:
-    """Walk from the start until the goal, the horizon, or a None action; rewards if rewarded."""
+def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
+    """Walk from the start until the goal, the horizon, or a None action; no rewards."""
     xy = list(env.start)  # x, y of every cell visited, in order
     actions: list[int] = []
     cell = env.start
@@ -152,15 +141,15 @@ def _rollout(env: Gridworld, policy: Policy, ep_id: str, rewarded: bool = False)
     return Trajectory(
         observations=env.observation(np.array(xy).reshape(-1, 2).T),
         actions=np.array(actions, dtype=np.float64)[:, None] if actions else None,
-        rewards=_move_rewards(env, at_goal) if rewarded else None,
         terminals=at_goal,
         id=ep_id,
     )
 
 
 def ground_truth_rewards(env: Gridworld, traj: Trajectory) -> np.ndarray:
-    """Recompute the environment rewards of an episode from its states."""
-    return _move_rewards(env, env.decode_states(traj.observations) == env.state(env.goal))
+    """rewards[t] is GOAL_REWARD if step t + 1 is at the goal, else STEP_REWARD; the last is 0."""
+    at_goal = env.decode_states(traj.observations[1:]) == env.state(env.goal)
+    return np.append(np.where(at_goal, GOAL_REWARD, STEP_REWARD), 0.0)
 
 
 def generate_dataset(
@@ -177,8 +166,8 @@ def generate_dataset(
     if n_medium < 0 or n_random < 0:
         raise ValueError("episode counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}", rewarded=True)
-               for i in range(n_expert)]
+    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}") for i in range(n_expert)]
+    experts = [replace(ep, rewards=ground_truth_rewards(env, ep)) for ep in experts]
     medium, random_walk = _eps_greedy(env, rng, MEDIUM_EPSILON), _eps_greedy(env, rng, 1.0)
     mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
     mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
@@ -241,7 +230,7 @@ def fit_offline_q(
     for sweep in range(1, sweeps + 1):
         V = np.where(seen, Q, -np.inf).max(axis=1)
         V[~any_seen] = 0.0
-        targets = R + env.discount * np.where(bootstraps, V[SN], 0.0)
+        targets = R + DISCOUNT * np.where(bootstraps, V[SN], 0.0)
         sums = np.bincount(pair, weights=targets, minlength=counts.size).reshape(shape)
         new_Q = np.divide(sums, counts, out=np.zeros(shape), where=seen)
         delta = float(np.abs(new_Q - Q).max())
@@ -379,8 +368,7 @@ class DemoResult:
 LABELERS: dict[str, Callable[..., list[LabeledTrajectory]]] = {
     "otr": lambda config, experts, unlabeled: label_dataset(
         experts + unlabeled, experts, config.label),
-    "uds": lambda config, experts, unlabeled: uds_rewards(
-        unlabeled, experts, r_min=config.env.step_reward),
+    "uds": lambda config, experts, unlabeled: uds_rewards(unlabeled, experts, r_min=STEP_REWARD),
     "uniform": lambda config, experts, unlabeled: label_dataset(
         experts + unlabeled, experts, config.label, plan_rewards=uniform_plan_rewards),
     "truth": lambda config, experts, unlabeled: [

@@ -199,9 +199,13 @@ def _sinkhorn_active(
     below _KERNEL_SUM_MIN, and the block would end there anyway.
     """
     tol, eps = params.marginal_tolerance, params.epsilon
-    f, su = C.min(axis=1) / eps, np.ones(len(a))
-    g, sv = np.zeros(len(b)), np.ones(len(b))
-    G = C / eps  # then exp(f - C/eps) in place: every row holds a 1, so no first-step underflow
+    with np.errstate(over="ignore"):  # past a row's minimum, an infinite C/eps is a kernel 0
+        f, su = C.min(axis=1) / eps, np.ones(len(a))
+        g, sv = np.zeros(len(b)), np.ones(len(b))
+        G = C / eps  # then exp(f - C/eps) in place: every row holds a 1, no first-step underflow
+    if not np.isfinite(f).all():
+        raise NumericError(f"epsilon {eps!r} is too small for these costs: "
+                           "a row's smallest cost divided by epsilon overflows")
     np.exp(np.maximum(np.subtract(f[:, None], G, out=G), _EXP_FLOOR, out=G), out=G)
     np.multiply(G, G >= _KERNEL_ENTRY_MIN, out=G)
     SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
@@ -272,7 +276,8 @@ def sinkhorn(
     Returns a Coupling whose marginals match (a, b) within
     params.marginal_tolerance in the L-infinity sense, or one flagged
     converged=False if the iteration budget runs out. Identical inputs
-    always produce bit-identical couplings.
+    always produce bit-identical couplings. An epsilon so small that a
+    row's smallest cost divided by it overflows raises NumericError.
 
     Kernel entries below 1e-220 are dropped. That keeps plans bit-exact
     (bar a rare 1-ulp rounding tie) only while max(T, T') <= 10,000, where

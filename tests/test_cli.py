@@ -102,6 +102,24 @@ def test_label_that_is_not_finite_exits_numeric_and_writes_nothing(small_files, 
     assert "episode 'u" in err and "not finite" in err
 
 
+def test_label_epsilon_too_small_for_the_costs_exits_numeric(small_files, tmp_path, capsys):
+    upath, epath = small_files
+    out = tmp_path / "out.jsonl"
+    assert main(["label", str(upath), str(epath), str(out), "--epsilon", "1e-320"]) == 4
+    assert not out.exists()
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_label_non_utf8_file_is_a_parse_error(small_files, tmp_path, capsys):
+    upath, epath = small_files
+    lines = upath.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"id": "u1"', b'"id": "u\xff"')
+    assert b"\xff" in lines[1]
+    upath.write_bytes(b"\n".join(lines))
+    assert main(["label", str(upath), str(epath), str(tmp_path / "out.jsonl")]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_label_never_leaves_partial_output(small_files, tmp_path):
     upath, epath = small_files
     out = tmp_path / "no_such_dir" / "out.jsonl"
@@ -337,7 +355,7 @@ def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
         assert main(["demo-gridworld", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert repr(line.split()[0]) in err
-        assert all(key in err for key in ("width", "goal_reward", "seed", "sweeps", "epsilon"))
+        assert all(key in err for key in ("width", "horizon", "seed", "sweeps", "epsilon"))
 
 
 def test_demo_gridworld_config_zero_experts_is_usage_error(tmp_path, capsys):
@@ -377,8 +395,7 @@ def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys, monk
     assert "sweeps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("goal_reward", "nan"), ("step_reward", "-inf"),
-                                        ("beta", "nan"), ("epsilon", "inf")])
+@pytest.mark.parametrize("key, value", [("beta", "nan"), ("epsilon", "inf")])
 def test_demo_gridworld_config_non_finite_value_is_usage_error(tmp_path, capsys, monkeypatch,
                                                                key, value):
     def no_episodes(*args, **kwargs):

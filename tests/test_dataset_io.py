@@ -132,6 +132,21 @@ def test_non_number_values_name_the_line(tmp_path, key, value):
     assert repr(key) in str(exc.value)
 
 
+@pytest.mark.parametrize("pad", [0, 100_000], ids=["short", "past-the-first-chunk"])
+def test_non_utf8_line_is_a_parse_error(tmp_path, pad):
+    path = tmp_path / "latin1.jsonl"
+    first = json.dumps({"observations": [[0]], "id": "a" * pad}).encode()
+    path.write_bytes(first + b'\n{"observations": [[1]], "id": "caf\xff"}\n'
+                     b'{"observations": [[2]]}\n')
+    with pytest.raises(ParseError, match="line 2: not UTF-8 text: byte 0xff") as exc:
+        read_dataset(path)
+    assert exc.value.line_number == 2
+    # The first fault in the file is the one reported.
+    path.write_bytes(b'{"observations": [[0]\n{"observations": [[1]], "id": "caf\xff"}\n')
+    with pytest.raises(ParseError, match="line 1: invalid JSON"):
+        read_dataset(path)
+
+
 @pytest.mark.parametrize("value", ["true", "false", "1.0", "0.5", '"x"', '"1"', "-3", "[1]"],
                          ids=["true", "false", "float", "fraction", "string", "digit-string",
                               "negative", "list"])

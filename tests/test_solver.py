@@ -77,6 +77,22 @@ def test_lp_oracle_matches_permutation_enumeration(seed):
     assert coupling.transport_cost == brute_force_permutation_cost(C)
 
 
+@pytest.mark.parametrize("scale, epsilon", [(1.0, 1e-320), (1e10, 1e-300)])
+def test_epsilon_too_small_for_the_costs_is_numeric_error(rng, scale, epsilon):
+    # Each row's smallest cost over epsilon overflows; pytest turns a leaked warning into an error.
+    C = rng.uniform(size=(5, 4)) * scale
+    with pytest.raises(NumericError, match=f"epsilon {epsilon!r} is too small"):
+        sinkhorn(C, uniform(5), uniform(4), SinkhornParams(epsilon=epsilon))
+
+
+def test_cost_over_epsilon_overflowing_past_the_row_minimum_is_a_kernel_zero():
+    coupling = sinkhorn(np.array([[0.0, 1.0], [1.0, 0.0]]), uniform(2), uniform(2),
+                        SinkhornParams(epsilon=1e-320))
+    assert coupling.converged
+    assert np.array_equal(coupling.plan, np.diag([0.5, 0.5]))
+    assert coupling.transport_cost == 0.0
+
+
 def test_lp_oracle_splits_single_supply():
     C = np.array([[0.3, 0.9]])
     coupling = lp_oracle(C, np.array([1.0]), np.array([0.5, 0.5]))
