@@ -11,8 +11,9 @@ not written back. Numbers are serialized with full round-trip precision.
 Labeled outputs hold the computed labels in ``rewards`` and this run's
 match in ``source_expert``.
 
-All writes go to a temporary file that is renamed into place on success,
-so a failed run never leaves a partial output behind.
+A file is decoded once, in the loop that parses it, and written record by
+record. All writes go to a temporary file that is renamed into place on
+success, so a failed run never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TextIO
@@ -128,32 +130,20 @@ def read_dataset(path: str | os.PathLike) -> EpisodicDataset:
     DataError for NaN/Inf numbers, and DimensionMismatch when episodes
     disagree on feature dimensions. A line that is not UTF-8 is a ParseError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_lines(fh)
-    except UnicodeDecodeError:
-        # Text mode decodes a chunk ahead of the lines it yields, so the error
-        # has no line number: read again, checking each line as it is parsed.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return _parse_lines(_utf8_lines(fh))
-
-
-def _utf8_lines(lines):
-    """Yield the lines; raise ParseError at the first holding an undecoded byte."""
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:  # surrogateescape stored byte b as U+DC00 + b
-            byte = ord(line[exc.start]) - 0xDC00
-            raise ParseError(line_no, f"not UTF-8 text: byte 0x{byte:02x}") from None
-        yield line
+    # surrogateescape stores an undecoded byte b as U+DC00 + b, so decoding
+    # never fails a chunk ahead of the lines: _parse_lines finds the byte's line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_lines(fh)
 
 
 def _parse_lines(lines) -> EpisodicDataset:
     episodes: list[Trajectory] = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if line.isspace():
             continue
+        if not line.isascii() and (undecoded := re.search("[\udc80-\udcff]", line)):
+            byte = ord(undecoded.group()) - 0xDC00
+            raise ParseError(line_no, f"not UTF-8 text: byte 0x{byte:02x}")
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -197,9 +187,9 @@ def _traj_record(ep: Trajectory) -> dict:
 
 
 def write_dataset(path: str | os.PathLike, dataset: EpisodicDataset) -> None:
-    """Write episodes in order, one JSON record per line."""
-    lines = [f"{json.dumps(_traj_record(ep))}\n" for ep in dataset.episodes]
-    _atomic_write(path, lambda fh: fh.writelines(lines))
+    """Write episodes in order, one JSON record per line, one record at a time."""
+    _atomic_write(path, lambda fh: fh.writelines(
+        f"{json.dumps(_traj_record(ep))}\n" for ep in dataset.episodes))
 
 
 def write_labeled(path: str | os.PathLike, dataset: list[LabeledTrajectory]) -> None:

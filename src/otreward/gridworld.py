@@ -268,11 +268,6 @@ class HarnessConfig:
     n_random: int = 80
     seed: int = 7
     label: LabelConfig = field(default_factory=LabelConfig)
-    sweeps: int = 4000
-
-    def __post_init__(self):
-        if self.sweeps < 1:  # checked before any episode is generated or labeled
-            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
 
 
 def reference_config() -> HarnessConfig:
@@ -315,7 +310,7 @@ def load_harness_config(path) -> HarnessConfig:
     Each line holds one ``key = value``; text after ``#`` and blank lines
     are ignored. Cells are written ``x,y``. The keys are those of three
     tables: ``_ENV_KEYS`` (the Gridworld), ``_RUN_KEYS`` (episode counts,
-    seed, sweeps) and ``LABEL_KEYS`` (the label settings). width, height,
+    seed) and ``LABEL_KEYS`` (the label settings). width, height,
     start and goal are required; every other key keeps its default when
     absent. A missing required key, an unknown or repeated key or an
     unparsable value raises ValueError; an unknown key's message lists
@@ -402,7 +397,7 @@ def run_demo(config: HarnessConfig, labeler: str) -> DemoResult:
     pearson, spearman, degenerate = return_correlations(labeled_returns, true_returns)
 
     t0 = time.perf_counter()
-    q = fit_offline_q(labeled, env, sweeps=config.sweeps)
+    q = fit_offline_q(labeled, env)
     fit_seconds = time.perf_counter() - t0
     success = evaluate_policy(q, env)
 

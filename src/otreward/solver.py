@@ -57,7 +57,9 @@ _KERNEL_ENTRY_MIN = 1e-220
 # lower argument gives an entry below _KERNEL_ENTRY_MIN / e, stored as 0 either
 # way, and 1e200 times below the last bit of the rebuilt row sum (>= 1) it is in.
 _EXP_FLOOR = math.log(_KERNEL_ENTRY_MIN) - 1
-# Sinkhorn iterations run between two evaluations of the guards.
+# Sinkhorn iterations run between two evaluations of the guards. Blocks of 64
+# or growing ones were no faster on the benchmark's solves, and buffers for 256
+# rows slowed demo-gridworld's small solves by a third (ROADMAP item 7).
 _BLOCK = 32
 _FLOAT64_EPS = np.finfo(np.float64).eps
 

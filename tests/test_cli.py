@@ -310,7 +310,7 @@ def test_select_experts_overflowing_return_is_a_data_error(tmp_path, rng, capsys
 def test_demo_gridworld_truth_small(tmp_path, capsys):
     path = tmp_path / "small.gridworld"
     path.write_text("width = 4\nheight = 4\nstart = 0,0\ngoal = 3,3\n"
-                    "n_medium = 3\nn_random = 5\nsweeps = 500\n")
+                    "n_medium = 3\nn_random = 5\n")
     code = main(["demo-gridworld", "--config", str(path), "--labeler", "truth"])
     assert code == 0
     stdout = capsys.readouterr().out
@@ -355,7 +355,7 @@ def test_demo_gridworld_config_unknown_key(tmp_path, capsys):
         assert main(["demo-gridworld", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert repr(line.split()[0]) in err
-        assert all(key in err for key in ("width", "horizon", "seed", "sweeps", "epsilon"))
+        assert all(key in err for key in ("width", "horizon", "seed", "n_random", "epsilon"))
 
 
 def test_demo_gridworld_config_zero_experts_is_usage_error(tmp_path, capsys):
@@ -388,7 +388,7 @@ def test_demo_gridworld_config_zero_sweeps_is_usage_error(tmp_path, capsys, monk
 
     monkeypatch.setattr(otreward.gridworld, "generate_dataset", no_episodes)
     path = tmp_path / "no-sweeps.gridworld"
-    path.write_text(REFERENCE_CONFIG.read_text().replace("sweeps = 4000", "sweeps = 0"))
+    path.write_text(REFERENCE_CONFIG.read_text() + "sweeps = 0\n")
     with pytest.raises(ValueError, match="sweeps"):
         otreward.load_harness_config(path)
     assert main(["demo-gridworld", "--config", str(path), "--labeler", "otr"]) == 2

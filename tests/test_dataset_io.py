@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,10 +133,12 @@ def test_non_number_values_name_the_line(tmp_path, key, value):
     assert repr(key) in str(exc.value)
 
 
-@pytest.mark.parametrize("pad", [0, 100_000], ids=["short", "past-the-first-chunk"])
-def test_non_utf8_line_is_a_parse_error(tmp_path, pad):
+@pytest.mark.parametrize("first_id", ["", "a" * 100_000, "\u00e9"],
+                         ids=["short", "past-the-first-chunk", "non-ascii-first-line"])
+def test_non_utf8_line_is_a_parse_error(tmp_path, first_id):
     path = tmp_path / "latin1.jsonl"
-    first = json.dumps({"observations": [[0]], "id": "a" * pad}).encode()
+    # ensure_ascii=False writes a non-ASCII id as its UTF-8 bytes, not as an escape.
+    first = json.dumps({"observations": [[0]], "id": first_id}, ensure_ascii=False).encode()
     path.write_bytes(first + b'\n{"observations": [[1]], "id": "caf\xff"}\n'
                      b'{"observations": [[2]]}\n')
     with pytest.raises(ParseError, match="line 2: not UTF-8 text: byte 0xff") as exc:
@@ -145,6 +148,9 @@ def test_non_utf8_line_is_a_parse_error(tmp_path, pad):
     path.write_bytes(b'{"observations": [[0]\n{"observations": [[1]], "id": "caf\xff"}\n')
     with pytest.raises(ParseError, match="line 1: invalid JSON"):
         read_dataset(path)
+    # A valid line, ASCII or not, reads as written.
+    path.write_bytes(first + b"\n")
+    assert [ep.id for ep in read_dataset(path).episodes] == [first_id]
 
 
 @pytest.mark.parametrize("value", ["true", "false", "1.0", "0.5", '"x"', '"1"', "-3", "[1]"],
@@ -335,6 +341,31 @@ def test_failed_write_leaves_no_temp_file_and_keeps_the_old_output(tmp_path):
         dataset_io._atomic_write(path, write)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_record_failing_to_serialize_keeps_the_old_output_and_no_temp_file(rng, tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n")
+    # The first record is longer than the text buffer, so part of it reaches the temp file.
+    episodes = [make_episode(rng, 1000, 3, ep_id="a"),
+                Trajectory(observations=np.zeros((2, 3)), id=object())]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_dataset(path, EpisodicDataset(episodes=episodes))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_write_dataset_holds_one_record_at_a_time(rng, tmp_path):
+    path = tmp_path / "out.jsonl"
+    dataset = EpisodicDataset(episodes=[make_episode(rng, 100, 10, ep_id=f"ep-{i}")
+                                        for i in range(40)])
+    tracemalloc.start()
+    try:
+        write_dataset(path, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def test_outputs_get_the_mode_open_gives_and_keep_an_existing_mode(tmp_path):

@@ -234,7 +234,7 @@ def test_q_fit_on_reference_config_is_pinned():
     )
     labeled = [LabeledTrajectory(base=ep, ot_rewards=ground_truth_rewards(env, ep))
                for ep in experts.episodes + unlabeled.episodes]
-    q = fit_offline_q(labeled, env, sweeps=config.sweeps)
+    q = fit_offline_q(labeled, env)
     assert q.trained_sweeps == 16
     assert np.count_nonzero(~np.isnan(q.values)) == 251
     # 14 moves from the start to the goal: the last pays 1, discounted 13 times.
@@ -363,7 +363,6 @@ def test_run_demo_truth_on_small_config():
         n_medium=4,
         n_random=6,
         seed=1,
-        sweeps=500,
     )
     result = run_demo(config, "truth")
     assert result.success_rate == 1.0
