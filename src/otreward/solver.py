@@ -21,6 +21,10 @@ a single iteration when the first kernel has a column that must underflow. The
 loop calls ndarray.dot: np.dot's C routine without its __array_function__
 dispatch, so the same bits.
 
+Same-shape solves in one thread reuse one set of block buffers: a solve of
+another shape replaces them, threads never share them, and no result aliases
+them.
+
 Zero-weight rows and columns (padding) are removed before the solve and
 re-inserted as exactly-zero rows/columns of the plan, so padded and
 unpadded problems produce identical couplings on the shared support; with
@@ -30,6 +34,7 @@ no padding the solve runs on the cost itself, uncopied.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -62,6 +67,9 @@ _EXP_FLOOR = math.log(_KERNEL_ENTRY_MIN) - 1
 # rows slowed demo-gridworld's small solves by a third (ROADMAP item 7).
 _BLOCK = 32
 _FLOAT64_EPS = np.finfo(np.float64).eps
+# This thread's last solve shape and its block buffers, which the next solve
+# of that shape reuses. One entry: at T = T' = 1000 it holds 1.3 MB.
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -183,8 +191,8 @@ def _sinkhorn_active(
     scalings (su, sv); the plan is diag(su) G diag(sv). Each iteration is the
     textbook pair u = log a - logsumexp(v - C/eps), v = log b - logsumexp(u - C/eps).
 
-    Setup builds the first kernel in place and each row view once; an SV row
-    ends one step and starts the next.
+    Setup builds the first kernel in place; the buffers and row views are the
+    thread's workspace, and an SV row ends one step and starts the next.
 
     Blocks of at most _BLOCK plain updates keep their iterates in rows of SU,
     RS, CS, SV; every guard is then decided for every iteration, in order. The
@@ -210,12 +218,15 @@ def _sinkhorn_active(
                            "a row's smallest cost divided by epsilon overflows")
     np.exp(np.maximum(np.subtract(f[:, None], G, out=G), _EXP_FLOOR, out=G), out=G)
     np.multiply(G, G >= _KERNEL_ENTRY_MIN, out=G)
-    SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
-    SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
-    RS, CS = SUMS[:, :len(a)], SUMS[:, len(a):]
-    RES, ROWS = np.empty((_BLOCK, len(a))), np.arange(_BLOCK)  # row residuals, row numbers
-    sv_rows = list(SV)  # row i + 1 ends step i and starts step i + 1
-    steps = list(zip(sv_rows, RS, SU[1:], CS, sv_rows[1:]))
+    if getattr(_workspace, "shape", None) != C.shape:  # else reuse: no row is read unwritten
+        SU, SV = np.empty((_BLOCK + 1, len(a))), np.empty((_BLOCK + 1, len(b)))
+        SUMS = np.empty((_BLOCK, len(a) + len(b)))  # row i holds [RS[i] | CS[i]]
+        RS, CS = SUMS[:, :len(a)], SUMS[:, len(a):]
+        RES, ROWS = np.empty((_BLOCK, len(a))), np.arange(_BLOCK)  # row residuals, row numbers
+        sv_rows = list(SV)  # row i + 1 ends step i and starts step i + 1
+        steps = list(zip(sv_rows, RS, SU[1:], CS, sv_rows[1:]))
+        _workspace.shape, _workspace.buffers = C.shape, (SU, SV, SUMS, RS, CS, RES, ROWS, steps)
+    SU, SV, SUMS, RS, CS, RES, ROWS, steps = _workspace.buffers
     # The matvec and plan row sums reach the row mass su_i * sum_j G_ij sv_j
     # through len(b) + 1 roundings each, so in any summation order they differ
     # by at most 2 * len(b) * eps times it (Higham's gamma bound), and a row

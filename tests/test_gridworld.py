@@ -18,7 +18,15 @@ from otreward import (
     run_demo,
 )
 from otreward.errors import DataError
-from otreward.gridworld import ACTIONS, DISCOUNT, GOAL_REWARD, N_ACTIONS, STEP_REWARD
+from otreward.gridworld import (
+    ACTIONS,
+    DISCOUNT,
+    GOAL_REWARD,
+    MEDIUM_EPSILON,
+    N_ACTIONS,
+    STEP_REWARD,
+    _eps_greedy,
+)
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.gridworld"
 
@@ -74,6 +82,22 @@ def test_same_seed_reproduces_dataset():
             assert a.id == b.id
             assert np.array_equal(a.observations, b.observations)
             assert np.array_equal(a.actions, b.actions)
+
+
+@pytest.mark.parametrize("eps", [MEDIUM_EPSILON, 1.0])
+def test_eps_greedy_draws_as_rng_integers_does(eps):
+    # The policy's float32 draw must give rng.integers(N_ACTIONS)'s actions and
+    # leave the stream where it does; a numpy release that changes either
+    # algorithm would move every generated dataset.
+    env = small_env()
+    for seed in range(100):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        policy = _eps_greedy(env, rng, eps)
+        for _ in range(2000):
+            expected = (int(reference.integers(N_ACTIONS)) if reference.random() < eps
+                        else env.shortest_path_action(env.start))
+            assert policy(env.start) == expected
+        assert rng.random() == reference.random()
 
 
 def test_invalid_counts():

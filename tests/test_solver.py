@@ -1,11 +1,15 @@
 import itertools
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from otreward import CostKind, SinkhornParams, sinkhorn
+from otreward import solver
 from otreward.solver import (
     _BLOCK,
     _EXP_FLOOR,
@@ -499,6 +503,61 @@ def test_deterministic_replay(rng):
     assert np.array_equal(first.plan, second.plan)
     assert first.transport_cost == second.transport_cost
     assert first.iterations == second.iterations
+
+
+def _same_coupling(x, y):
+    return (np.array_equal(x.plan, y.plan) and x.transport_cost == y.transport_cost
+            and (x.iterations, x.converged) == (y.iterations, y.converged))
+
+
+def test_same_shape_solves_share_a_workspace_and_no_result_aliases_it(rng):
+    P, Q = random_cost_instance(rng, 13, 9), random_cost_instance(rng, 13, 9)
+    first = sinkhorn(*P)
+    kept, buffers = first.plan.copy(), solver._workspace.buffers
+    other = sinkhorn(*Q)
+    again = sinkhorn(*P)
+    assert solver._workspace.buffers is buffers
+    assert not np.array_equal(other.plan, kept)
+    assert np.array_equal(first.plan, kept)
+    assert _same_coupling(again, first)
+
+
+def test_a_new_shape_replaces_the_workspace_without_moving_a_bit(rng, monkeypatch):
+    A, B = random_cost_instance(rng, 13, 9), random_cost_instance(rng, 9, 13)
+    params = SinkhornParams(epsilon=0.005)
+    fresh = []
+    for instance in (A, B):
+        monkeypatch.setattr(solver, "_workspace", threading.local())
+        fresh.append(sinkhorn(*instance, params))
+    for instance, expected in zip((A, B, A), fresh + fresh[:1]):
+        assert _same_coupling(sinkhorn(*instance, params), expected)
+
+
+def test_threads_solving_one_shape_keep_their_own_workspace():
+    # With a workspace shared between threads, one thread's iterates would
+    # overwrite the other's between numpy calls.
+    rng = np.random.default_rng(31)
+    shapes = [[(20, 20)] * 15 + [(20 + i, 12) for i in range(15)],
+              [(20, 20)] * 15 + [(12, 20 + i) for i in range(15)]]
+    problems = [[random_cost_instance(rng, *shape) for shape in shapes[t]] for t in range(2)]
+    params = SinkhornParams(epsilon=0.005)
+    expected = [[sinkhorn(*p, params) for p in problems[t]] for t in range(2)]
+    barrier = threading.Barrier(2)
+
+    def solve_all(t):
+        barrier.wait(timeout=30)
+        return [sinkhorn(*p, params) for p in problems[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(solve_all, t) for t in range(2)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected):
+        assert all(_same_coupling(x, y) for x, y in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
