@@ -13,6 +13,7 @@ Rewards are attached per state: rewards[t] belongs to the transition
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -41,6 +42,7 @@ Q_CONVERGENCE_TOL = 1e-8
 GOAL_REWARD = 1.0
 STEP_REWARD = 0.0
 DISCOUNT = 0.99
+_RAW_CHUNK = 4096  # 64-bit draws fetched per bit-generator call
 
 
 @dataclass(frozen=True)
@@ -111,18 +113,35 @@ class Gridworld:
 Policy = Callable[[tuple[int, int]], int | None]
 
 
-def _eps_greedy(env: Gridworld, rng: np.random.Generator, eps: float) -> Policy:
-    """With probability eps a uniform action, else the shortest-path one."""
+def _generation_policies(env: Gridworld, rng: np.random.Generator) -> tuple[Policy, Policy]:
+    """The medium and random policies (eps MEDIUM_EPSILON and 1), on one stream of rng."""
+    # Each 64-bit draw u is converted as Generator's scalar calls convert it, so the
+    # actions are those of rng.random() < eps, then int(rng.integers(N_ACTIONS)):
+    # - rng.random() is (u >> 11) * 2**-53, exact: an int below 2**53 is a float;
+    # - rng.random(dtype=np.float32) reads PCG64's buffered next_uint32: a fresh draw's
+    #   low half, then its high half (halves below; random_raw never touches that buffer);
+    # - int(that float32 * N_ACTIONS) and rng.integers(N_ACTIONS) are (u32 * N_ACTIONS) >> 32
+    #   while N_ACTIONS is a power of two: Lemire's method never rejects such a range,
+    #   and a float32 keeps the top 24 bits of the 32-bit draw.
+    # Reading ahead is safe: rng is generate_dataset's own, and nothing reads it after.
+    draws = itertools.chain.from_iterable(
+        iter(lambda: rng.bit_generator.random_raw(_RAW_CHUNK).tolist(), None)).__next__
 
-    def policy(cell: tuple[int, int]) -> int:
-        if rng.random() < eps:
-            # rng.integers(N_ACTIONS)'s action and stream at half its cost, while N_ACTIONS
-            # is a power of two: Lemire's method never rejects such a range, and both
-            # read the top bits of one 32-bit draw, of which a float32 keeps 24.
-            return int(rng.random(dtype=np.float32) * N_ACTIONS)
-        return env.shortest_path_action(cell)
+    def halves():
+        while True:
+            u = draws()
+            yield u & 0xFFFFFFFF
+            yield u >> 32
+    next_u32 = halves().__next__
 
-    return policy
+    def eps_greedy(eps: float) -> Policy:
+        def policy(cell: tuple[int, int]) -> int:
+            if (draws() >> 11) * 2.0**-53 < eps:
+                return (next_u32() * N_ACTIONS) >> 32
+            return env.shortest_path_action(cell)
+        return policy
+
+    return eps_greedy(MEDIUM_EPSILON), eps_greedy(1.0)
 
 
 def _rollout(env: Gridworld, policy: Policy, ep_id: str) -> Trajectory:
@@ -162,7 +181,8 @@ def generate_dataset(
 
     Returns (experts, unlabeled). Expert episodes keep their ground-truth
     rewards; the unlabeled episodes carry none (ground_truth_rewards
-    recomputes them). Identical seeds produce identical datasets.
+    recomputes them). Identical seeds produce identical datasets: those that
+    scalar Generator.random and Generator.integers calls give.
     """
     if n_expert < 1:
         raise ValueError(f"need at least one expert episode, got {n_expert}")
@@ -171,7 +191,7 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}") for i in range(n_expert)]
     experts = [replace(ep, rewards=ground_truth_rewards(env, ep)) for ep in experts]
-    medium, random_walk = _eps_greedy(env, rng, MEDIUM_EPSILON), _eps_greedy(env, rng, 1.0)
+    medium, random_walk = _generation_policies(env, rng)
     mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
     mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
     return EpisodicDataset(episodes=experts), EpisodicDataset(episodes=mixed)

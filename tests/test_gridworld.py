@@ -17,6 +17,7 @@ from otreward import (
     reference_config,
     run_demo,
 )
+from otreward import gridworld
 from otreward.errors import DataError
 from otreward.gridworld import (
     ACTIONS,
@@ -25,7 +26,7 @@ from otreward.gridworld import (
     MEDIUM_EPSILON,
     N_ACTIONS,
     STEP_REWARD,
-    _eps_greedy,
+    _rollout,
 )
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.gridworld"
@@ -84,20 +85,61 @@ def test_same_seed_reproduces_dataset():
             assert np.array_equal(a.actions, b.actions)
 
 
-@pytest.mark.parametrize("eps", [MEDIUM_EPSILON, 1.0])
-def test_eps_greedy_draws_as_rng_integers_does(eps):
-    # The policy's float32 draw must give rng.integers(N_ACTIONS)'s actions and
-    # leave the stream where it does; a numpy release that changes either
-    # algorithm would move every generated dataset.
-    env = small_env()
+def scalar_draw_datasets(env, n_expert, n_medium, n_random, seed):
+    """generate_dataset with one scalar Generator call per draw: rng.random() < eps,
+    then int(rng.integers(N_ACTIONS)), the medium episodes first, on one Generator."""
+    rng = np.random.default_rng(seed)
+
+    def eps_greedy(eps):
+        def policy(cell):
+            if rng.random() < eps:
+                return int(rng.integers(N_ACTIONS))
+            return env.shortest_path_action(cell)
+        return policy
+
+    experts = [_rollout(env, env.shortest_path_action, f"expert-{i:03d}") for i in range(n_expert)]
+    experts = [replace(ep, rewards=ground_truth_rewards(env, ep)) for ep in experts]
+    medium, random_walk = eps_greedy(MEDIUM_EPSILON), eps_greedy(1.0)
+    mixed = [_rollout(env, medium, f"medium-{i:03d}") for i in range(n_medium)]
+    mixed += [_rollout(env, random_walk, f"random-{i:03d}") for i in range(n_random)]
+    return experts, mixed
+
+
+def episode_bits(datasets):
+    """Every field of every episode, as exact bytes, for bit-for-bit comparison."""
+    def bits(array):
+        return None if array is None else (array.dtype.str, array.shape, array.tobytes())
+
+    return [[(ep.id, bits(ep.observations), bits(ep.actions), bits(ep.terminals),
+              bits(ep.rewards)) for ep in episodes] for episodes in datasets]
+
+
+@pytest.mark.parametrize("env", [
+    Gridworld(width=8, height=8, start=(0, 0), goal=(7, 7)),
+    Gridworld(width=12, height=12, start=(0, 0), goal=(11, 11)),
+    Gridworld(width=1, height=5, start=(0, 0), goal=(0, 4)),
+    Gridworld(width=3, height=4, start=(0, 0), goal=(2, 3), horizon=40),
+], ids=["8x8", "12x12", "1x5", "3x4-h40"])
+def test_generate_dataset_equals_scalar_generator_draws(env):
+    # The bulk draws must give the datasets of one scalar Generator call per draw;
+    # a numpy release that changed PCG64's 32-bit buffer or either conversion, or a
+    # Lemire draw that rejects, would fail here rather than move every dataset.
     for seed in range(100):
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        policy = _eps_greedy(env, rng, eps)
-        for _ in range(2000):
-            expected = (int(reference.integers(N_ACTIONS)) if reference.random() < eps
-                        else env.shortest_path_action(env.start))
-            assert policy(env.start) == expected
-        assert rng.random() == reference.random()
+        for n_medium, n_random in [(20, 80), (0, 7), (300, 0)]:
+            experts, unlabeled = generate_dataset(env, 1, n_medium, n_random, seed)
+            assert episode_bits([experts.episodes, unlabeled.episodes]) == episode_bits(
+                scalar_draw_datasets(env, 1, n_medium, n_random, seed))
+
+
+def test_generation_does_not_depend_on_the_draw_chunk(monkeypatch):
+    # A chunk that ends between the two 32-bit halves of a draw moves nothing.
+    config = reference_config()
+    counts = (config.n_expert, config.n_medium, config.n_random, config.seed)
+    expected = episode_bits(ds.episodes for ds in generate_dataset(config.env, *counts))
+    for size in (1, 2, 3, 4096):
+        monkeypatch.setattr(gridworld, "_RAW_CHUNK", size)
+        datasets = generate_dataset(config.env, *counts)
+        assert episode_bits(ds.episodes for ds in datasets) == expected, size
 
 
 def test_invalid_counts():
